@@ -1,97 +1,50 @@
-"""Hot numeric kernels.
+"""The cancellation-DP kernel.
 
-The one genuinely hot inner loop in this package is the O(L^3) interval
-dynamic program behind the free-group cancellation norm: translation
-lengths, cone distances and the c-trick norm checks all evaluate it on
-words of several hundred letters.  It ships in two interchangeable
-implementations:
+The one hot inner loop in this package is the interval dynamic program
+behind the free-group cancellation norm: translation lengths, cone
+distances and the c-trick norm checks all evaluate it on long words.
 
-* a numba ``@njit`` kernel (the default when numba imports), and
-* a pure numpy fallback with a vectorised inner loop.
+``N(i, j)``, the minimal number of deletions that make ``codes[i..j]``
+freely reduce to the identity, satisfies
 
-Set ``BINORMS_NUMBA=0`` in the environment to force the numpy path, e.g.
-for debugging or on platforms without numba.  ``benchmarks/bench_kernels.py``
-compares the two.
+    N(i, j) = min( N(i+1, j) + 1,                          # delete codes[i]
+                   N(i+1, k-1) + N(k+1, j)  for i < k <= j  # cancel codes[i]
+                                            with codes[k] == -codes[i] )
 
-Kernel input format: a word is an ``int64`` array of signed generator codes
-``sign * index`` (index >= 1), already freely reduced.
+with ``N = 0`` on empty intervals.  The kernel fills it one row ``i`` at a
+time, from the right, and visits only the positions ``k`` that hold the
+inverse letter of ``codes[i]`` (kept in per-letter position lists).  It is
+plain Python on list rows: O(L^2) cells plus O(L) work per matching pair.
+
+Kernel input format: any sequence of signed generator codes
+``sign * index`` (index >= 1) -- a tuple, a list or a numpy integer array.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-
-def _numba_requested() -> bool:
-    return os.environ.get("BINORMS_NUMBA", "1").lower() not in ("0", "false", "off")
-
-
-def _dp_numpy(codes: np.ndarray) -> int:
-    """Interval DP, numpy fallback.
-
-    N[i, j+1] = minimal deletions so that codes[i..j] reduces to the
-    identity; the +1 column offset lets empty subwords (j < i) read 0.
-    """
-    L = int(codes.shape[0])
-    if L == 0:
-        return 0
-    N = np.zeros((L + 2, L + 2), dtype=np.int64)
-    for span in range(1, L + 1):
-        for i in range(L - span + 1):
-            j = i + span - 1
-            best = N[i + 1, j + 1] + 1
-            ks = np.nonzero(codes[i + 1 : j + 1] == -codes[i])[0]
-            if ks.size:
-                ks = ks + i + 1
-                cand = int(np.min(N[i + 1, ks] + N[ks + 1, j + 1]))
-                if cand < best:
-                    best = cand
-            N[i, j + 1] = best
-    return int(N[0, L])
-
-
 NUMBA_AVAILABLE = False
-_dp_numba = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _dp_numba_impl(codes):  # pragma: no cover - exercised via dispatch
-            L = codes.shape[0]
-            if L == 0:
-                return 0
-            N = np.zeros((L + 2, L + 2), dtype=np.int64)
-            for span in range(1, L + 1):
-                for i in range(L - span + 1):
-                    j = i + span - 1
-                    best = N[i + 1, j + 1] + 1
-                    ci = codes[i]
-                    for k in range(i + 1, j + 1):
-                        if codes[k] == -ci:
-                            cand = N[i + 1, k] + N[k + 1, j + 1]
-                            if cand < best:
-                                best = cand
-                    N[i, j + 1] = best
-            return N[0, L]
-
-        _dp_numba = _dp_numba_impl
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-
-
-ACTIVE_BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
+ACTIVE_BACKEND = "python-sparse"
 
 
 def cancellation_dp(codes) -> int:
     """Minimal deletions so the coded word freely reduces to the identity."""
-    arr = np.asarray(codes, dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    if ACTIVE_BACKEND == "numba":
-        return int(_dp_numba(arr))
-    return _dp_numpy(arr)
+    codes = [int(c) for c in codes]
+    length = len(codes)
+    # rows[i][j + 1] = N(i, j), so column j + 1 ends at letter j;
+    # rows[length] is the all-empty row
+    rows = [None] * length + [[0] * (length + 1)]
+    where: dict[int, list[int]] = {}
+    for i in range(length - 1, -1, -1):
+        c = codes[i]
+        nxt = rows[i + 1]
+        row = [0] * (i + 1) + [n + 1 for n in nxt[i + 1:]]
+        for k in where.get(-c, ()):
+            inside = nxt[k]
+            after = rows[k + 1]
+            for col in range(k + 1, length + 1):
+                cand = inside + after[col]
+                if cand < row[col]:
+                    row[col] = cand
+        rows[i] = row
+        where.setdefault(c, []).append(i)
+    return rows[0][length]

@@ -427,13 +427,13 @@ def conjugate_product_search(
 def _is_standard_free_closure(ctx: "GroupContext") -> bool:
     if ctx.family != "free" or ctx.generators.kind != "normal-closure":
         return False
-    want = {FreeWord.generator(ctx.rank, i).encode() for i in range(1, ctx.rank + 1)}
+    want = {FreeWord.generator(ctx.rank, i, sign).encode()
+            for i in range(1, ctx.rank + 1) for sign in (1, -1)}
     have = set()
     for s in ctx.generators.elements:
         for t in (s, s.inverse()):
             have.add(t.encode())
-    want_sym = want | {FreeWord.generator(ctx.rank, i, -1).encode() for i in range(1, ctx.rank + 1)}
-    return have == want_sym or have == want
+    return have == want
 
 
 def in_commutator_subgroup(w: FreeWord) -> bool:
@@ -501,13 +501,19 @@ BACKENDS = (
 )
 
 
+# Entries of a context's memo of exact cancellation norms; the memo is
+# emptied when it fills.
+NORM_MEMO_CAP = 4096
+
+
 @dataclass
 class GroupContext:
     """A group family with a generating set and a norm backend.
 
     Owns the norm ``||.||`` and the induced metric ``d(g,h) = ||g h^-1||``.
     Evaluators are pure; the BFS cache is grown on demand and read-only
-    between growth steps.
+    between growth steps, and cancellation-DP norms are memoised per
+    context by the reduced word.
     """
 
     family: str
@@ -521,6 +527,9 @@ class GroupContext:
     search_k_max: int = 6
     search_conj_len: int = 34
     _ball: BfsBall | None = field(default=None, repr=False, compare=False)
+    _norm_memo: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -584,7 +593,7 @@ class GroupContext:
         if self.backend == "cancellation-dp":
             if g.rank != self.rank:
                 raise FamilyMismatchError("rank mismatch with context")
-            return NormInterval.exact_value(cancellation_norm(g))
+            return NormInterval.exact_value(self._memo_cancellation_norm(g))
         if self.backend == "bfs":
             return bfs_word_norm(self, g, self.bfs_max_radius)
         if self.backend == "bounded-search":
@@ -595,6 +604,18 @@ class GroupContext:
         if self.backend == "cl-bounds":
             return commutator_length_bounds(g, self.search_k_max, min(self.search_conj_len, 2))
         raise NormError(f"backend {self.backend!r} cannot evaluate norms")
+
+    def _memo_cancellation_norm(self, g: FreeWord) -> int:
+        # keyed by codes(): a flat tuple of small ints takes about an eighth
+        # of the memory of the word's tuple of letter pairs
+        key = g.codes()
+        value = self._norm_memo.get(key)
+        if value is None:
+            value = kernels.cancellation_dp(key)
+            if len(self._norm_memo) >= NORM_MEMO_CAP:
+                self._norm_memo.clear()
+            self._norm_memo[key] = value
+        return value
 
     def _is_standard_heisenberg_closure(self) -> bool:
         if self.generators.kind != "normal-closure":
@@ -754,9 +775,13 @@ def load_norm_table(path) -> tuple[str, dict[str, NormInterval]]:
             raise NormError(f"unexpected norm-table columns {names}")
         rows = {}
         for enc, lo, up, exact in reader:
-            rows[enc] = NormInterval(
-                float(lo) if "." in lo or lo == "inf" else int(lo),
-                math.inf if up == "inf" else (float(up) if "." in up else int(up)),
-                bool(int(exact)),
-            )
+            rows[enc] = NormInterval(_parse_bound(lo), _parse_bound(up), bool(int(exact)))
     return descriptor, rows
+
+
+def _parse_bound(text: str):
+    """Read back a bound written by ``save_norm_table``: int, float or inf."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)

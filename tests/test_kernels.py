@@ -1,9 +1,10 @@
 import random
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import deletion_oracle
+from conftest import deletion_oracle, dense_cancellation_dp
 
 from binorms import kernels
 from binorms.groups import FreeWord, commutator
@@ -31,15 +32,33 @@ def test_dp_matches_oracle_short_words():
         assert kernels.cancellation_dp(w.codes()) == deletion_oracle(w)
 
 
-def test_numpy_and_numba_paths_agree():
+def test_matches_dense_reference_recurrence():
     rng = random.Random(99)
-    for _ in range(60):
-        w = random_free_word(rng, 2, 40)
-        codes = np.asarray(w.codes(), dtype=np.int64)
-        expected = kernels._dp_numpy(codes)
-        assert kernels.cancellation_dp(codes) == expected
-        if kernels.NUMBA_AVAILABLE:
-            assert int(kernels._dp_numba(codes)) == expected
+    words = [random_free_word(rng, rank, 48) for rank in (2, 3) for _ in range(40)]
+    for n in (1, 3, 6, 12):
+        words.append(commutator(A, B) ** n)
+        words.append(A ** (4 * n))
+        words.append((A * B) ** n * (A.inverse() * B.inverse()) ** n)
+    for w in words:
+        assert len(w) <= 48
+        assert kernels.cancellation_dp(w.codes()) == dense_cancellation_dp(w.codes())
+
+
+reduced_words = st.integers(2, 3).flatmap(
+    lambda rank: st.lists(
+        st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), max_size=10
+    ).map(lambda letters: FreeWord(rank, letters))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_words)
+def test_matches_deletion_oracle_for_any_input_type(w):
+    codes = w.codes()
+    expected = deletion_oracle(w)
+    assert kernels.cancellation_dp(codes) == expected
+    assert kernels.cancellation_dp(list(codes)) == expected
+    assert kernels.cancellation_dp(np.asarray(codes, dtype=np.int64)) == expected
 
 
 def test_parity_invariant():
@@ -48,8 +67,3 @@ def test_parity_invariant():
     for _ in range(100):
         w = random_free_word(rng, 2, 14)
         assert (kernels.cancellation_dp(w.codes()) - len(w)) % 2 == 0
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not importable")
-def test_active_backend_is_numba_by_default():
-    assert kernels.ACTIVE_BACKEND == "numba"

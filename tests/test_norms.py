@@ -5,7 +5,9 @@ import pytest
 
 from conftest import deletion_oracle
 
+from binorms import kernels, norms
 from binorms.groups import (
+    FamilyMismatchError,
     FreeWord,
     Heisenberg,
     LatticeVector,
@@ -119,6 +121,53 @@ class TestCancellationNorm:
             base = cancellation_norm(w)
             for y in all_reduced_words(2, 2):
                 assert cancellation_norm(conjugate(w, y)) == base
+
+
+class TestNormMemo:
+    def test_results_match_kernel_across_eviction(self, monkeypatch):
+        monkeypatch.setattr(norms, "NORM_MEMO_CAP", 16)
+        ctx = free_cancellation_context(2)
+        words = all_reduced_words(2, 3)
+        assert len(words) > 2 * norms.NORM_MEMO_CAP
+        for _ in range(2):
+            for w in words:
+                assert ctx.norm_exact(w) == kernels.cancellation_dp(w.codes())
+                assert len(ctx._norm_memo) <= norms.NORM_MEMO_CAP
+
+    def test_repeats_skip_the_kernel(self, monkeypatch):
+        kernel = kernels.cancellation_dp
+        calls = []
+
+        def counted(codes):
+            calls.append(codes)
+            return kernel(codes)
+
+        monkeypatch.setattr(kernels, "cancellation_dp", counted)
+        ctx = free_cancellation_context(2)
+        g = commutator(A, B) ** 3
+        assert [ctx.norm_exact(g) for _ in range(3)] == [kernel(g.codes())] * 3
+        assert calls == [g.codes()]
+
+    def test_rank_mismatch_still_raises(self):
+        ctx = free_cancellation_context(2)
+        g = FreeWord.generator(3, 1)
+        for _ in range(2):
+            with pytest.raises(FamilyMismatchError):
+                ctx.norm(g)
+
+    def test_contexts_do_not_share_a_memo(self):
+        first, second = free_cancellation_context(2), free_cancellation_context(2)
+        first.norm(commutator(A, B))
+        assert first._norm_memo and not second._norm_memo
+        assert first._norm_memo is not second._norm_memo
+
+    def test_memo_not_in_equality_or_repr(self):
+        used, fresh = free_cancellation_context(2), free_cancellation_context(2)
+        before = repr(used)
+        used.norm(A * B * A)
+        assert used == fresh
+        assert repr(used) == before == repr(fresh)
+        assert "_norm_memo" not in repr(used)
 
 
 class TestL1:
@@ -301,3 +350,22 @@ def test_norm_table_round_trip(tmp_path):
         iv = ctx.norm(g)
         loaded = rows[g.encode()]
         assert (loaded.lower, loaded.upper, loaded.exact) == (iv.lower, iv.upper, iv.exact)
+
+
+def test_norm_table_round_trip_keeps_floats_and_infinity(tmp_path, monkeypatch):
+    ctx = heisenberg_context()
+    table = {
+        "H(1,0,0)": NormInterval.exact_value(1),
+        "H(0,0,1)": NormInterval(0.5, 1e20, False),
+        "H(2,0,0)": NormInterval(2, math.inf, False),
+        "H(0,3,0)": NormInterval(1.5, 3, False),
+    }
+    monkeypatch.setattr(ctx, "norm", lambda g: table[g.encode()])
+    path = tmp_path / "table.csv"
+    save_norm_table(ctx, [ctx.decode(enc) for enc in table], path)
+    assert "1e+20" in path.read_text(encoding="utf-8")
+    _, rows = load_norm_table(path)
+    assert rows == table
+    for enc, iv in table.items():
+        assert type(rows[enc].lower) is type(iv.lower)
+        assert type(rows[enc].upper) is type(iv.upper)
