@@ -15,9 +15,6 @@ from .groups import (
     conjugate,
     cycle_decomposition,
     decode,
-    group_inv,
-    group_mul,
-    power,
 )
 from .kernels import ACTIVE_BACKEND, NUMBA_AVAILABLE
 from .norms import (

@@ -88,14 +88,6 @@ class GroupElement:
             )
 
 
-def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def group_inv(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
 def conjugate(a: GroupElement, b: GroupElement) -> GroupElement:
     """b^-1 a b."""
     return b.inverse() * a * b
@@ -104,10 +96,6 @@ def conjugate(a: GroupElement, b: GroupElement) -> GroupElement:
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """[g, h] = g^-1 h^-1 g h (fixed convention, used everywhere)."""
     return g.inverse() * h.inverse() * g * h
-
-
-def power(a: GroupElement, n: int) -> GroupElement:
-    return a ** n
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +116,18 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ..
 class FreeWord(GroupElement):
     """A freely reduced word in the free group of the given rank.
 
-    Letters are stored as ``(generator_index, sign)`` pairs with 1-based
-    indices and sign in {+1, -1}; the constructor reduces eagerly.
+    The word is stored as one flat tuple of signed codes ``sign * index``
+    (1-based generator index, sign in {+1, -1}), the kernel input format;
+    ``letters`` yields the same word as ``(index, sign)`` pairs.  The
+    constructor reduces and validates its letters eagerly.  Products and
+    inverses skip both: both operands are already reduced, so a product can
+    only cancel at the seam, where the tail of the left word meets the
+    inverse of the head of the right one, and an inverse negates and
+    reverses the codes.
     """
 
     family = "free"
-    __slots__ = ("rank", "letters")
+    __slots__ = ("rank", "_codes")
 
     def __init__(self, rank: int, letters: Iterable[tuple[int, int]] = ()):
         if rank < 1:
@@ -145,7 +139,20 @@ class FreeWord(GroupElement):
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +-1, got {sign}")
         self.rank = rank
-        self.letters = reduced
+        self._codes = tuple(s * i for i, s in reduced)
+
+    @classmethod
+    def _from_codes(cls, rank: int, codes: tuple[int, ...]) -> "FreeWord":
+        """A word from codes already known to be reduced and in range."""
+        word = object.__new__(cls)
+        word.rank = rank
+        word._codes = codes
+        return word
+
+    @property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        """The word as ``(index, sign)`` pairs."""
+        return tuple((c, 1) if c > 0 else (-c, -1) for c in self._codes)
 
     @classmethod
     def generator(cls, rank: int, index: int, sign: int = 1) -> "FreeWord":
@@ -174,51 +181,59 @@ class FreeWord(GroupElement):
         return cls(rank, letters)
 
     def encode(self) -> str:
-        if not self.letters:
+        if not self._codes:
             return "1"
         if self.rank > len(_GENERATOR_LETTERS):
             raise EncodingError(f"cannot encode words of rank > {len(_GENERATOR_LETTERS)}")
-        parts = []
-        for idx, sign in self.letters:
-            name = _GENERATOR_LETTERS[idx - 1]
-            parts.append(name if sign == 1 else name + "^-1")
-        return " ".join(parts)
+        return " ".join(
+            _GENERATOR_LETTERS[c - 1] if c > 0 else _GENERATOR_LETTERS[-c - 1] + "^-1"
+            for c in self._codes
+        )
 
     def __mul__(self, other: GroupElement) -> "FreeWord":
         self._require_same_family(other)
         if self.rank != other.rank:
             raise FamilyMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return FreeWord(self.rank, self.letters + other.letters)
+        a, b = self._codes, other._codes
+        end = len(a)
+        k = 0
+        limit = min(end, len(b))
+        while k < limit and a[end - 1 - k] == -b[k]:
+            k += 1
+        return FreeWord._from_codes(self.rank, a[:end - k] + b[k:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
+        return FreeWord._from_codes(self.rank, tuple([-c for c in reversed(self._codes)]))
 
     def identity(self) -> "FreeWord":
-        return FreeWord(self.rank, ())
+        return FreeWord._from_codes(self.rank, ())
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
     def codes(self) -> tuple[int, ...]:
         """Signed integer codes (sign * index), the kernel input format."""
-        return tuple(s * i for i, s in self.letters)
+        return self._codes
 
     def exponent_sums(self) -> tuple[int, ...]:
         """Abelianisation: total exponent of each generator."""
         sums = [0] * self.rank
-        for idx, sign in self.letters:
-            sums[idx - 1] += sign
+        for c in self._codes:
+            if c > 0:
+                sums[c - 1] += 1
+            else:
+                sums[-c - 1] -= 1
         return tuple(sums)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FreeWord)
             and self.rank == other.rank
-            and self.letters == other.letters
+            and self._codes == other._codes
         )
 
     def __hash__(self) -> int:
-        return hash(("free", self.rank, self.letters))
+        return hash(("free", self.rank, self._codes))
 
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {self.encode()!r})"

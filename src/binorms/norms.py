@@ -527,7 +527,7 @@ class GroupContext:
     search_k_max: int = 6
     search_conj_len: int = 34
     _ball: BfsBall | None = field(default=None, repr=False, compare=False)
-    _norm_memo: dict[tuple[int, ...], int] = field(
+    _norm_memo: dict[tuple[int, ...], NormInterval] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -563,9 +563,19 @@ class GroupContext:
         raise ValueError(f"unknown family {self.family!r}")
 
     def decode(self, text: str) -> GroupElement:
+        """Parse an element and check it belongs to this context's group."""
         from .groups import decode
 
-        return decode(self.family, text, rank=self.rank)
+        g = decode(self.family, text, rank=self.rank)
+        if self.family == "lattice" and g.dim != self.dim:
+            raise FamilyMismatchError(
+                f"lattice vector {text!r} has dimension {g.dim}, context has {self.dim}"
+            )
+        if self.family == "perm" and g.support and g.support[-1] > self.degree:
+            raise FamilyMismatchError(
+                f"permutation {text!r} moves {g.support[-1]}, beyond degree {self.degree}"
+            )
+        return g
 
     def describe(self) -> str:
         size = {"free": f"rank={self.rank}", "perm": f"degree={self.degree}",
@@ -593,7 +603,7 @@ class GroupContext:
         if self.backend == "cancellation-dp":
             if g.rank != self.rank:
                 raise FamilyMismatchError("rank mismatch with context")
-            return NormInterval.exact_value(self._memo_cancellation_norm(g))
+            return self._memo_cancellation_norm(g)
         if self.backend == "bfs":
             return bfs_word_norm(self, g, self.bfs_max_radius)
         if self.backend == "bounded-search":
@@ -605,17 +615,15 @@ class GroupContext:
             return commutator_length_bounds(g, self.search_k_max, min(self.search_conj_len, 2))
         raise NormError(f"backend {self.backend!r} cannot evaluate norms")
 
-    def _memo_cancellation_norm(self, g: FreeWord) -> int:
-        # keyed by codes(): a flat tuple of small ints takes about an eighth
-        # of the memory of the word's tuple of letter pairs
+    def _memo_cancellation_norm(self, g: FreeWord) -> NormInterval:
         key = g.codes()
-        value = self._norm_memo.get(key)
-        if value is None:
-            value = kernels.cancellation_dp(key)
+        interval = self._norm_memo.get(key)
+        if interval is None:
+            interval = NormInterval.exact_value(kernels.cancellation_dp(key))
             if len(self._norm_memo) >= NORM_MEMO_CAP:
                 self._norm_memo.clear()
-            self._norm_memo[key] = value
-        return value
+            self._norm_memo[key] = interval
+        return interval
 
     def _is_standard_heisenberg_closure(self) -> bool:
         if self.generators.kind != "normal-closure":

@@ -318,19 +318,28 @@ def defect_estimate(f: PqmHandle, pair_sampler, n_samples: int | None = None,
                 zero_min_bad += 1
             continue
         ratio = _exact_div(delta, m)
-        witness = _keep_supremum(ratio, (g.encode(), h.encode()), best, witness)
-        best = max(best, ratio)
+        best, witness = _keep_supremum(ratio, (g, h), best, witness)
     return SupremumEstimate("defect", best, witness, count, seed, zero_min_bad)
 
 
-def _keep_supremum(ratio, pair, best, witness):
-    """Ties on the supremum break by canonical encoding order, so the
-    reported attaining pair is independent of evaluation order."""
+def _keep_supremum(ratio, elements, best, witness):
+    """The new (best, witness) after seeing ``ratio`` at ``elements``.
+
+    Ties on the supremum break by canonical encoding order, so the
+    reported attaining pair is independent of evaluation order.  The
+    elements are encoded only when they can become the witness.
+    """
+    if witness is not None and not ratio >= best:
+        return best, witness
+    pair = tuple(e.encode() for e in elements)
     if witness is None or ratio > best:
-        return pair
-    if ratio == best and pair < witness:
-        return pair
-    return witness
+        return max(best, ratio), pair
+    return best, min(pair, witness)
+
+
+def _exact(value):
+    """An int as it is; any other norm value as an exact Fraction."""
+    return value if isinstance(value, int) else Fraction(value)
 
 
 def _exact_div(a, b):
@@ -353,8 +362,7 @@ def lipschitz_estimate(f: PqmHandle, pair_sampler, n_samples: int | None = None,
         count += 1
         d = ctx.dist(g, h)
         ratio = _exact_div(abs(f(g) - f(h)), d)
-        witness = _keep_supremum(ratio, (g.encode(), h.encode()), best, witness)
-        best = max(best, ratio)
+        best, witness = _keep_supremum(ratio, (g, h), best, witness)
     return SupremumEstimate("lipschitz", best, witness, count, seed)
 
 
@@ -367,8 +375,7 @@ def generator_bound(f: PqmHandle, generator_sample: Iterable[GroupElement],
     for s in generator_sample:
         count += 1
         v = abs(f(s))
-        witness = _keep_supremum(v, (s.encode(),), best, witness)
-        best = max(best, v)
+        best, witness = _keep_supremum(v, (s,), best, witness)
     return SupremumEstimate("generator-bound", best, witness, count, seed)
 
 
@@ -619,14 +626,19 @@ class McShaneExtension:
         self.tail_floor = min(Fraction(self.norms[m], m) for m in outer)
 
     def eval_with_certificate(self, h: GroupElement) -> tuple[Fraction, ExtensionCertificate]:
-        ctx = self.ctx
-        nh = Fraction(ctx.norm_exact(h))
-        best = nh  # n = 0 term: d(h, 1) = ||h||
+        # with c = p/q, compare q * (c*n + d(h, g^n)) = p*n + q*||h g^-n||
+        # in integers, using the stored inverse powers
+        norm_exact = self.ctx.norm_exact
+        powers = self.powers
+        p, q = self.c.numerator, self.c.denominator
+        nh = _exact(norm_exact(h))
+        best_q = q * nh  # n = 0 term: d(h, 1) = ||h||
         for n in range(1, self.window + 1):
             for signed in (n, -n):
-                term = self.c * signed + Fraction(ctx.dist(h, self.powers[signed]))
-                if term < best:
-                    best = term
+                term = p * signed + q * _exact(norm_exact(h * powers[-signed]))
+                if term < best_q:
+                    best_q = term
+        best = Fraction(best_q, q)
         w1 = self.window + 1
         pos_closed = self.c * w1 > best
         neg_closed = (self.tail_floor - self.c) * w1 - nh > best
@@ -828,7 +840,12 @@ def _count_subwords(codes: tuple[int, ...], pattern: tuple[int, ...]) -> int:
     p = len(pattern)
     if p == 0 or p > len(codes):
         return 0
-    return sum(1 for i in range(len(codes) - p + 1) if codes[i : i + p] == pattern)
+    first = pattern[0]
+    count = 0
+    for i in range(len(codes) - p + 1):
+        if codes[i] == first and codes[i : i + p] == pattern:
+            count += 1
+    return count
 
 
 def brooks_qm(pattern: FreeWord, ctx: GroupContext | None = None) -> PqmHandle:

@@ -89,17 +89,12 @@ def pair_sampler(draw: Callable, seed: int) -> Callable[[int], list[tuple[GroupE
 def all_reduced_words(rank: int, max_len: int) -> list[FreeWord]:
     """Every reduced word of length <= max_len, in deterministic order."""
     words: list[FreeWord] = [FreeWord(rank, ())]
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
+    codes = [c for idx in range(1, rank + 1) for c in (idx, -idx)]
+    frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_len):
-        nxt: list[tuple[tuple[int, int], ...]] = []
-        for letters in frontier:
-            for idx in range(1, rank + 1):
-                for sign in (1, -1):
-                    if letters and letters[-1] == (idx, -sign):
-                        continue
-                    nxt.append(letters + ((idx, sign),))
-        words.extend(FreeWord(rank, ls) for ls in nxt)
-        frontier = nxt
+        # codes that never end in an inverse pair are reduced by construction
+        frontier = [w + (c,) for w in frontier for c in codes if not w or w[-1] != -c]
+        words.extend(FreeWord._from_codes(rank, w) for w in frontier)
     return words
 
 

@@ -193,6 +193,22 @@ class TestMainEntry:
         assert code == 0
         assert ",5," in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "lattice", "--dim", "2", "--element", "[1,2,3]"],
+        ["--family", "perm", "--degree", "3", "--element", "(1 2 3 4 5 6 7)"],
+    ])
+    def test_norm_rejects_elements_outside_the_context(self, argv, capsys):
+        code = main(["norm", *argv, "--reproducible"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert ",error,E_FAMILY_MISMATCH," in out
+
+    def test_norm_accepts_permutations_within_the_degree(self, capsys):
+        code = main(["norm", "--family", "perm", "--degree", "3",
+                     "--element", "(1 3)", "--reproducible"])
+        assert code == 0
+        assert ",norm,1," in capsys.readouterr().out
+
     def test_run_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "jobs.spec"
         spec.write_text(MINIMAL, encoding="utf-8")

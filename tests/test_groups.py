@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binorms.groups import (
     FamilyMismatchError,
@@ -61,6 +63,35 @@ class TestFreeWord:
     def test_rank_mismatch_raises(self):
         with pytest.raises(FamilyMismatchError):
             A * FreeWord.generator(3, 1)
+
+
+def _letter_lists(rank):
+    return st.lists(st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), max_size=12)
+
+
+# (rank, a, b): letter sequences that need not be reduced
+letter_pairs = st.integers(1, 3).flatmap(
+    lambda rank: st.tuples(st.just(rank), _letter_lists(rank), _letter_lists(rank))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter_pairs)
+def test_seam_products_match_full_reduction(case):
+    rank, a, b = case
+    u, v = FreeWord(rank, a), FreeWord(rank, b)
+    product = u * v
+    reference = FreeWord(rank, a + b)
+    assert product == reference
+    assert product.letters == free_reduce(a + b)
+    assert hash(product) == hash(reference)
+    assert u.inverse().letters == free_reduce([(i, -s) for i, s in reversed(a)])
+    assert (u * u.inverse()).is_identity()
+    assert (u.inverse() * u).is_identity()
+    assert u.letters == free_reduce(a)
+    assert u.codes() == tuple(s * i for i, s in u.letters)
+    assert FreeWord(rank, u.letters) == u
+    assert FreeWord.parse(u.encode(), rank) == u
 
 
 class TestPermutation:

@@ -326,6 +326,31 @@ class TestMcShaneExtension:
         with pytest.raises(WindowCertificateError):
             mcshane_extend(Z, zint(1), 2, 8)  # ||g^n|| = n < 2n
 
+    @pytest.mark.parametrize("c", [1, Fraction(1, 3), Fraction(2, 5)])
+    def test_matches_plain_fraction_reference(self, c):
+        window = 6
+        cases = [
+            (F2, A, all_reduced_words(2, 3)),
+            (F2, A * B, all_reduced_words(2, 2) + [(A * B) ** 3, B ** -4]),
+            (Z2, LatticeVector((1, 2)),
+             [LatticeVector((x, y)) for x in range(-4, 5) for y in range(-3, 4)]),
+        ]
+        for ctx, g, points in cases:
+            ext = mcshane_extend(ctx, g, c, window)
+            cc = Fraction(c)
+            floor = min(Fraction(ctx.norm_exact(g ** m), m)
+                        for m in range(window // 2 + 1, window + 1))
+            for h in points:
+                nh = Fraction(ctx.norm_exact(h))
+                best = min(cc * n + Fraction(ctx.dist(h, g ** n))
+                           for n in range(-window, window + 1))
+                pos = cc * (window + 1) > best
+                neg = (floor - cc) * (window + 1) - nh > best
+                value, cert = ext.eval_with_certificate(h)
+                assert type(value) is Fraction and value == best
+                assert (cert.exact, cert.pos_closed, cert.neg_closed) == (pos and neg, pos, neg)
+                assert cert.tail_floor == floor
+
 
 class TestDetectUndistorted:
     def test_integer_five(self):
