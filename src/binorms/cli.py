@@ -9,6 +9,12 @@ A job file holds one or more blocks::
       element = [3,-2]
     }
 
+Each task has one entry in ``TASKS``: the keys it reads, whether it takes
+a group context, its default window and scheme, and its runner.  Parsing,
+validation, the ``run --window/--scheme`` overrides, the single-task
+subcommands and dispatch all read that entry, so a key is accepted
+exactly when the task reads it; ``KEYS`` gives each key's type and help.
+
 Parsing is strict: unknown keys, missing required keys and malformed
 values are all collected and reported together with line numbers, and a
 job never runs from a partially understood spec.  Runs are deterministic:
@@ -22,15 +28,25 @@ Exit codes: 0 success, 1 any error row, 2 spec errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import cone as cone_mod
 from . import pqm as pqm_mod
-from .groups import EncodingError, FamilyMismatchError, LatticeVector
+from .groups import (
+    HEISENBERG_A,
+    HEISENBERG_B,
+    EncodingError,
+    FamilyMismatchError,
+    FreeWord,
+    LatticeVector,
+    Permutation,
+    decode,
+)
 from .norms import (
     GeneratingSet,
     GroupContext,
@@ -63,41 +79,71 @@ class JobSpecError(Exception):
 class JobSpec:
     task: str
     params: dict[str, str]
-    line: int = 0
 
 
 # ---------------------------------------------------------------------------
-# grammar tables
+# job keys
 
-CONTEXT_KEYS = {"family", "rank", "dim", "degree", "generators", "backend"}
-COMMON_KEYS = {"task", "seed", "window", "scheme", "tolerance"}
 
-TASKS: dict[str, dict[str, set[str]]] = {
-    "norm": {"required": {"element"}, "optional": set(), "context": True},
-    "translation-length": {"required": {"element"}, "optional": set(), "context": True},
-    "defect": {"required": {"function", "samples"}, "optional": {"maxlen"}, "context": True},
-    "lipschitz": {"required": {"function", "samples"}, "optional": {"maxlen"}, "context": True},
-    "detect": {"required": {"element"}, "optional": set(), "context": True},
-    "extend": {"required": {"element", "at"}, "optional": {"c"}, "context": True},
-    "ctrick": {"required": {"element", "element2", "n"}, "optional": {"base"}, "context": True},
-    "cone-norm": {"required": {"element"}, "optional": set(), "context": True},
-    "cone-dist": {"required": {"element", "element2"}, "optional": set(), "context": True},
-    "pullback": {"required": {"functional", "samples"}, "optional": {"maxlen"}, "context": True},
-    "walk": {"required": {"walk"}, "optional": set(), "context": False},
-    "fekete": {"required": {"sequence", "n"}, "optional": {"phi"}, "context": False},
+class Key(NamedTuple):
+    """How a job key is read: its argparse type and help, and whether its
+    value is echoed in the ``inputs`` column."""
+
+    type: type = str
+    help: str | None = None
+    input: bool = False
+
+
+# every job key besides ``task``; ``inputs`` lists the input keys in this order
+KEYS: dict[str, Key] = {
+    "element": Key(input=True),
+    "element2": Key(input=True),
+    "n": Key(int, input=True),
+    "c": Key(input=True),
+    "at": Key(help="semicolon-separated element encodings", input=True),
+    "function": Key(help="norm | brooks:<pattern> | coord:<i> | scale:<k>", input=True),
+    "functional": Key(help="cone-norm | coord:<i>", input=True),
+    "walk": Key(help="alternating | all-up | doubling-blocks", input=True),
+    "sequence": Key(help="linear:<a> | halfceil | sqrt-drift:<a>", input=True),
+    "phi": Key(help="zero | const:<d> | sqrt:<c>", input=True),
+    "samples": Key(int, input=True),
+    "maxlen": Key(int),
+    "base": Key(help="g | h"),
+    "family": Key(help="free | perm | lattice | heisenberg"),
+    "rank": Key(int),
+    "dim": Key(int),
+    "degree": Key(int),
+    "generators": Key(help="explicit:<encs> | normal:<encs> | all-commutators"),
+    "backend": Key(),
+    "seed": Key(int),
+    "window": Key(int),
+    "scheme": Key(help="plain | arith:<k> | cesaro"),
 }
 
-_INT_KEYS = {"rank", "dim", "degree", "samples", "maxlen", "n", "window", "seed"}
+CONTEXT_KEYS = ("family", "rank", "dim", "degree", "generators", "backend")
 
-DEFAULT_WINDOWS = {
-    "translation-length": 64,
-    "detect": 32,
-    "extend": 16,
-    "cone-norm": 8,
-    "cone-dist": 8,
-    "pullback": 8,
-    "walk": 4096,
-}
+
+class Task(NamedTuple):
+    """One job task: the keys it reads, its defaults and its runner.
+
+    ``window`` and ``scheme`` are the task's defaults, ``None`` when it
+    takes none.  ``run(spec, ctx, seed)`` gets the group context (``None``
+    for context-free tasks) and returns the fields of each row it adds,
+    plus its traces; dispatch adds the fields every row of the job shares.
+    """
+
+    run: Callable[..., tuple[list[dict], list]]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    context: bool = True
+    window: int | None = None
+    scheme: str | None = None
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Every key the task reads, besides ``task``."""
+        keys = self.required + self.optional + (CONTEXT_KEYS if self.context else ()) + ("seed",)
+        return keys + tuple(k for k in ("window", "scheme") if getattr(self, k) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -150,44 +196,38 @@ def parse_jobfile(text: str) -> tuple[list[JobSpec], list[str]]:
 def _validate_job(params: dict[str, str], line: int, index: int) -> tuple[JobSpec | None, list[str]]:
     errors: list[str] = []
     path = f"job[{index}]"
-    task = params.get("task")
-    if task is None:
+    name = params.get("task")
+    if name is None:
         return None, [f"{path}: missing required key 'task' (line {line})"]
-    if task not in TASKS:
-        return None, [f"{path}.task: unknown task {task!r} (line {line})"]
-    table = TASKS[task]
-    allowed = COMMON_KEYS | table["required"] | table["optional"]
-    if table["context"]:
-        allowed |= CONTEXT_KEYS
-    for key in params:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key for task {task!r} (line {line})")
-    for key in table["required"]:
-        if key not in params:
-            errors.append(f"{path}: missing required key {key!r} for task {task!r} (line {line})")
-    if table["context"] and "family" not in params:
-        errors.append(f"{path}: missing required key 'family' (line {line})")
-    for key in _INT_KEYS:
-        if key in params:
+    task = TASKS.get(name)
+    if task is None:
+        return None, [f"{path}.task: unknown task {name!r} (line {line})"]
+    keys = task.keys
+    for key, value in params.items():
+        if key == "task":
+            continue
+        if key not in keys:
+            errors.append(f"{path}.{key}: unknown key for task {name!r} (line {line})")
+        elif KEYS[key].type is int:
             try:
-                int(params[key])
+                int(value)
             except ValueError:
-                errors.append(f"{path}.{key}: expected an integer, got {params[key]!r} (line {line})")
-    if "tolerance" in params:
-        try:
-            float(params["tolerance"])
-        except ValueError:
-            errors.append(f"{path}.tolerance: expected a number (line {line})")
-    if "family" in params and params["family"] not in ("free", "perm", "lattice", "heisenberg"):
-        errors.append(f"{path}.family: unknown family {params['family']!r} (line {line})")
-    if "scheme" in params:
-        try:
-            LimitScheme.parse(params["scheme"], 8)
-        except ValueError as exc:
-            errors.append(f"{path}.scheme: {exc} (line {line})")
+                errors.append(f"{path}.{key}: expected an integer, got {value!r} (line {line})")
+        elif key == "family" and value not in _DEFAULT_BACKENDS:
+            errors.append(f"{path}.family: unknown family {value!r} (line {line})")
+        elif key == "scheme":
+            try:
+                LimitScheme.parse(value, 8)
+            except ValueError as exc:
+                errors.append(f"{path}.scheme: {exc} (line {line})")
+    for key in task.required:
+        if key not in params:
+            errors.append(f"{path}: missing required key {key!r} for task {name!r} (line {line})")
+    if task.context and "family" not in params:
+        errors.append(f"{path}: missing required key 'family' (line {line})")
     if errors:
         return None, errors
-    return JobSpec(task, dict(params), line), []
+    return JobSpec(name, dict(params)), []
 
 
 def parse_jobspec(text: str) -> JobSpec:
@@ -245,18 +285,12 @@ def build_context(params: dict[str, str]) -> GroupContext:
             if backend == "cl-bounds":
                 gens = GeneratingSet.all_commutators()
             else:
-                from .groups import FreeWord
-
                 gens = GeneratingSet.normal_closure(
                     tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
                 )
         elif family == "perm":
-            from .groups import Permutation
-
             gens = GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
         else:
-            from .groups import HEISENBERG_A, HEISENBERG_B
-
             gens = GeneratingSet.normal_closure((HEISENBERG_A, HEISENBERG_B))
     else:
         gens = _parse_generators(gen_text, family, rank, dim)
@@ -264,12 +298,8 @@ def build_context(params: dict[str, str]) -> GroupContext:
 
 
 def _parse_generators(text: str, family: str, rank: int, dim: int) -> GeneratingSet:
-    from .groups import decode
-
     if text == "all-commutators":
         return GeneratingSet.all_commutators()
-    if text == "unit-ball":
-        return GeneratingSet.unit_ball()
     kind, _, body = text.partition(":")
     if kind == "explicit" and body == "standard":
         if family != "lattice":
@@ -305,13 +335,6 @@ ERROR_CODES = [
 ]
 
 
-def _error_code(exc: Exception) -> str:
-    for klass, code in ERROR_CODES:
-        if isinstance(exc, klass):
-            return code
-    return "E_INTERNAL"
-
-
 @dataclass
 class JobResult:
     rows: list[ReportRow]
@@ -329,47 +352,35 @@ def run_job(spec: JobSpec, seed_override: int | None = None) -> JobResult:
     try:
         result = _dispatch(spec, seed_override)
     except Exception as exc:  # noqa: BLE001 - rendered as a typed error row
-        context_id = spec.params.get("family", "-")
-        result = JobResult([
-            ReportRow(
-                context_id=context_id,
-                task=spec.task,
-                inputs=_inputs_string(spec),
-                quantity="error",
-                value=_error_code(exc),
-                witness=str(exc),
-            )
-        ])
+        code = next((c for klass, c in ERROR_CODES if isinstance(exc, klass)), "E_INTERNAL")
+        result = JobResult([ReportRow(
+            context_id=spec.params.get("family", "-"), task=spec.task,
+            inputs=_inputs_string(spec.params), quantity="error", value=code, witness=str(exc),
+        )])
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     for row in result.rows:
         row.wall_time_ms = f"{elapsed_ms:.3f}"
     return result
 
 
-def _inputs_string(spec: JobSpec) -> str:
-    keys = ("element", "element2", "n", "c", "at", "function", "functional",
-            "walk", "sequence", "phi", "samples")
-    parts = [f"{k}={spec.params[k]}" for k in keys if k in spec.params]
-    return ";".join(parts)
+def _inputs_string(params: dict[str, str]) -> str:
+    return ";".join(f"{k}={params[k]}" for k, key in KEYS.items() if key.input and k in params)
 
 
-def _scheme_for(spec: JobSpec, default_kind: str = "plain") -> LimitScheme:
-    window = int(spec.params.get("window", DEFAULT_WINDOWS.get(spec.task, 16)))
-    return LimitScheme.parse(spec.params.get("scheme", default_kind), window)
+def _window(spec: JobSpec) -> int:
+    return int(spec.params.get("window", TASKS[spec.task].window))
 
 
-def _seed_for(spec: JobSpec, seed_override: int | None) -> int:
-    if seed_override is not None:
-        return seed_override
-    return int(spec.params.get("seed", DEFAULT_SEED))
+def _scheme(spec: JobSpec, window: int | None = None) -> LimitScheme:
+    """The job's limit scheme, over its own window unless one is given."""
+    text = spec.params.get("scheme", TASKS[spec.task].scheme)
+    return LimitScheme.parse(text, _window(spec) if window is None else window)
 
 
 def _function_from_id(fid: str, ctx: GroupContext):
     if fid == "norm":
         return pqm_mod.norm_handle(ctx)
     if fid.startswith("brooks:"):
-        from .groups import FreeWord
-
         pattern = FreeWord.parse(fid.split(":", 1)[1], ctx.rank)
         return pqm_mod.brooks_qm(pattern, ctx)
     if fid.startswith("coord:"):
@@ -381,179 +392,159 @@ def _function_from_id(fid: str, ctx: GroupContext):
     raise ValueError(f"unknown function id {fid!r}")
 
 
-def _pair_draw(ctx: GroupContext, maxlen: int):
-    return element_sampler(
-        ctx.family, rank=ctx.rank, degree=ctx.degree, dim=ctx.dim,
-        max_len=maxlen, box=maxlen,
-    )
+def _sample_pairs(spec: JobSpec, ctx: GroupContext, seed: int, default_maxlen: int):
+    maxlen = int(spec.params.get("maxlen", default_maxlen))
+    draw = element_sampler(ctx.family, rank=ctx.rank, degree=ctx.degree, dim=ctx.dim,
+                           max_len=maxlen, box=maxlen)
+    return sample_pairs(draw, seed, int(spec.params["samples"]))
 
 
 def _spread(lo, hi) -> str:
     return f"[{format_number(lo)},{format_number(hi)}]"
 
 
+def _limit_fields(quantity: str, res, window: int, scheme: str) -> dict:
+    return dict(
+        quantity=quantity, value=format_number(res.estimate),
+        spread=_spread(res.liminf_est, res.limsup_est),
+        witness=f"converged={int(res.converged)}", window=str(window), scheme=scheme,
+    )
+
+
 def _dispatch(spec: JobSpec, seed_override: int | None) -> JobResult:
-    task = spec.task
+    task = TASKS[spec.task]
+    seed = seed_override if seed_override is not None else int(spec.params.get("seed", DEFAULT_SEED))
+    ctx = build_context(spec.params) if task.context else None
+    rows, traces = task.run(spec, ctx, seed)
+    common = dict(
+        context_id=ctx.describe() if ctx else spec.task, task=spec.task,
+        inputs=_inputs_string(spec.params), seed=str(seed),
+    )
+    return JobResult([ReportRow(**{**common, **row}) for row in rows], traces)
+
+
+# ---------------------------------------------------------------------------
+# task runners
+
+
+def _run_norm(spec: JobSpec, ctx: GroupContext, seed: int):
+    iv = ctx.norm(ctx.decode(spec.params["element"]))
+    return [dict(
+        quantity="norm", value=format_number(iv.lower) if iv.exact else "",
+        spread=_spread(iv.lower, iv.upper), exact=str(int(iv.exact)),
+    )], []
+
+
+def _run_translation_length(spec: JobSpec, ctx: GroupContext, seed: int):
+    scheme = _scheme(spec)
+    res = pqm_mod.homogenise(pqm_mod.norm_handle(ctx), ctx.decode(spec.params["element"]), scheme)
+    return [_limit_fields("translation-length", res, scheme.window, scheme.describe())], []
+
+
+def _run_estimate(spec: JobSpec, ctx: GroupContext, seed: int):
+    f = _function_from_id(spec.params["function"], ctx)
+    pairs = _sample_pairs(spec, ctx, seed, 5)
+    estimate = pqm_mod.defect_estimate if spec.task == "defect" else pqm_mod.lipschitz_estimate
+    est = estimate(f, pairs, seed=seed)
+    witness = ";".join(est.witness) if est.witness else ""
+    return [dict(quantity=est.quantity, value=format_number(est.value), witness=witness)], []
+
+
+def _run_detect(spec: JobSpec, ctx: GroupContext, seed: int):
+    # the job window is the growth-certificate window; the scheme's own
+    # window is derived so the homogenised powers stay inside it
+    window = _window(spec)
+    probe = _scheme(spec, 8)
+    scheme = LimitScheme(probe.kind, max(8, window // (2 * probe.k)), k=probe.k)
+    wit = pqm_mod.detect_undistorted(ctx, ctx.decode(spec.params["element"]), scheme, window)
+    return [dict(
+        quantity="detect", value=format_number(wit.c_est), witness=wit.verdict,
+        spread="" if wit.value_at_g is None else _spread(wit.value_at_g, wit.value_at_g),
+        window=str(window), scheme=scheme.describe(),
+    )], [("detect", list(wit.trace))]
+
+
+def _run_extend(spec: JobSpec, ctx: GroupContext, seed: int):
     params = spec.params
-    seed = _seed_for(spec, seed_override)
-    if task == "walk":
-        scheme = _scheme_for(spec)
-        walk = pqm_mod.walk_build(params["walk"])
-        handle = pqm_mod.walk_handle(walk)
-        res = pqm_mod.homogenise(handle, LatticeVector((1,)), scheme)
-        row = ReportRow(
-            context_id="walk", task=task, inputs=_inputs_string(spec),
-            quantity="homogenisation", value=format_number(res.estimate),
-            spread=_spread(res.liminf_est, res.limsup_est),
-            witness=f"converged={int(res.converged)}",
-            seed=str(seed), window=str(scheme.window), scheme=scheme.describe(),
-        )
-        return JobResult([row])
-    if task == "fekete":
-        n_max = int(params["n"])
-        a = _sequence_from_id(params["sequence"])
-        phi = _phi_from_id(params.get("phi", "zero"))
-        res = pqm_mod.fekete_limit(a, phi, n_max, seed=seed)
-        row = ReportRow(
-            context_id="fekete", task=task, inputs=_inputs_string(spec),
-            quantity="limit", value=format_number(res.estimate),
-            spread=_spread(res.liminf_est, res.limsup_est),
-            witness=f"converged={int(res.converged)}",
-            seed=str(seed), window=str(n_max), scheme="plain",
-        )
-        return JobResult([row])
+    window = _window(spec)
+    g = ctx.decode(params["element"])
+    if "c" in params:
+        c = Fraction(params["c"])
+    else:
+        powers = [g ** m for m in range(1, window + 1)]
+        c = min(Fraction(ctx.norm_exact(p), m) for m, p in enumerate(powers, start=1))
+    ext = pqm_mod.mcshane_extend(ctx, g, c, window)
+    rows = []
+    for enc in params["at"].split(";"):
+        value, cert = ext.eval_with_certificate(ctx.decode(enc.strip()))
+        rows.append(dict(
+            quantity="extension",
+            inputs=f"element={params['element']};at={enc.strip()};c={format_number(c)}",
+            value=format_number(value), exact=str(int(cert.exact)), window=str(window),
+        ))
+    return rows, []
 
-    ctx = build_context(params)
-    context_id = ctx.describe()
 
-    def base_row(**kw) -> ReportRow:
-        defaults = dict(
-            context_id=context_id, task=task, inputs=_inputs_string(spec), seed=str(seed),
-        )
-        defaults.update(kw)
-        return ReportRow(**defaults)
+def _run_ctrick(spec: JobSpec, ctx: GroupContext, seed: int):
+    g, h = ctx.decode(spec.params["element"]), ctx.decode(spec.params["element2"])
+    res = pqm_mod.c_trick_witness(g, h, int(spec.params["n"]), base=spec.params.get("base", "h"))
+    lhs, rhs = res.norm_bound_check(ctx.norm_exact)
+    return [
+        dict(quantity="ctrick-identity", value="1", exact="1",
+             witness=";".join(c.encode() for c in res.witnesses)),
+        dict(quantity="ctrick-norm-bound", value=format_number(lhs),
+             spread=_spread(0, rhs), exact=str(int(lhs <= rhs))),
+    ], []
 
-    if task == "norm":
-        g = ctx.decode(params["element"])
-        iv = ctx.norm(g)
-        return JobResult([base_row(
-            quantity="norm",
-            value=format_number(iv.lower) if iv.exact else "",
-            spread=_spread(iv.lower, iv.upper),
-            exact=str(int(iv.exact)),
-        )])
-    if task == "translation-length":
-        scheme = _scheme_for(spec)
-        g = ctx.decode(params["element"])
-        res = pqm_mod.homogenise(pqm_mod.norm_handle(ctx), g, scheme)
-        return JobResult([base_row(
-            quantity="translation-length", value=format_number(res.estimate),
-            spread=_spread(res.liminf_est, res.limsup_est),
-            witness=f"converged={int(res.converged)}",
-            window=str(scheme.window), scheme=scheme.describe(),
-        )])
-    if task in ("defect", "lipschitz"):
-        f = _function_from_id(params["function"], ctx)
-        maxlen = int(params.get("maxlen", 5))
-        pairs = sample_pairs(_pair_draw(ctx, maxlen), seed, int(params["samples"]))
-        if task == "defect":
-            est = pqm_mod.defect_estimate(f, pairs, seed=seed)
-        else:
-            est = pqm_mod.lipschitz_estimate(f, pairs, seed=seed)
-        witness = ";".join(est.witness) if est.witness else ""
-        return JobResult([base_row(
-            quantity=est.quantity, value=format_number(est.value), witness=witness,
-        )])
-    if task == "detect":
-        # the job window is the growth-certificate window; the scheme's own
-        # window is derived so the homogenised powers stay inside it
-        window = int(params.get("window", DEFAULT_WINDOWS["detect"]))
-        kind = params.get("scheme", "arith:2")
-        probe = LimitScheme.parse(kind, 8)
-        scheme = LimitScheme(probe.kind, max(8, window // (2 * probe.k)), k=probe.k)
-        g = ctx.decode(params["element"])
-        wit = pqm_mod.detect_undistorted(ctx, g, scheme, window)
-        rows = [base_row(
-            quantity="detect", value=format_number(wit.c_est), witness=wit.verdict,
-            spread="" if wit.value_at_g is None else _spread(wit.value_at_g, wit.value_at_g),
-            window=str(window), scheme=scheme.describe(),
-        )]
-        return JobResult(rows, traces=[("detect", list(wit.trace))])
-    if task == "extend":
-        window = int(params.get("window", DEFAULT_WINDOWS["extend"]))
-        g = ctx.decode(params["element"])
-        if "c" in params:
-            c = Fraction(params["c"])
-        else:
-            powers = [g ** m for m in range(1, window + 1)]
-            c = min(Fraction(ctx.norm_exact(p), m) for m, p in enumerate(powers, start=1))
-        ext = pqm_mod.mcshane_extend(ctx, g, c, window)
-        rows = []
-        for enc in params["at"].split(";"):
-            h = ctx.decode(enc.strip())
-            value, cert = ext.eval_with_certificate(h)
-            rows.append(base_row(
-                quantity="extension", inputs=f"element={params['element']};at={enc.strip()};c={format_number(c)}",
-                value=format_number(value), exact=str(int(cert.exact)),
-                window=str(window),
-            ))
-        return JobResult(rows)
-    if task == "ctrick":
-        g = ctx.decode(params["element"])
-        h = ctx.decode(params["element2"])
-        n = int(params["n"])
-        res = pqm_mod.c_trick_witness(g, h, n, base=params.get("base", "h"))
-        lhs, rhs = res.norm_bound_check(ctx.norm_exact)
-        rows = [
-            base_row(quantity="ctrick-identity", value="1", exact="1",
-                     witness=";".join(c.encode() for c in res.witnesses)),
-            base_row(quantity="ctrick-norm-bound", value=format_number(lhs),
-                     spread=_spread(0, rhs), exact=str(int(lhs <= rhs))),
-        ]
-        return JobResult(rows)
-    if task in ("cone-norm", "cone-dist"):
-        scheme = _scheme_for(spec)
-        g = ctx.decode(params["element"])
-        p = cone_mod.eta(ctx, g)
-        if task == "cone-norm":
-            est = cone_mod.cone_norm(p, scheme)
-            point = p
-        else:
-            q = cone_mod.eta(ctx, ctx.decode(params["element2"]))
-            point = p.mul(q.inverse())
-            est = cone_mod.cone_norm(point, scheme)
-        trace_rows = [(n, point.norm_at(n), ratio) for n, ratio in est.trace]
-        return JobResult(
-            [base_row(
-                quantity=task, value=format_number(est.value),
-                spread=_spread(est.liminf_est, est.limsup_est),
-                window=str(scheme.window), scheme=scheme.describe(),
-            )],
-            traces=[(task, trace_rows)],
-        )
-    if task == "pullback":
-        scheme = _scheme_for(spec)
-        fid = params["functional"]
-        if fid == "cone-norm":
-            functional = cone_mod.cone_norm_functional(scheme)
-        elif fid.startswith("coord:"):
-            functional = cone_mod.coordinate_functional(int(fid.split(":", 1)[1]), scheme)
-        else:
-            raise ValueError(f"unknown functional {fid!r} (cone-norm | coord:<i>)")
-        maxlen = int(params.get("maxlen", 2))
-        pairs = sample_pairs(_pair_draw(ctx, maxlen), seed, int(params["samples"]))
-        rep = cone_mod.pullback_defect(functional, ctx, pairs)
-        return JobResult([base_row(
-            quantity="pullback-defect", value=format_number(rep.max_ratio),
-            witness=f"violations={rep.violations};bound={format_number(rep.bound_constant)}",
-            window=str(scheme.window), scheme=scheme.describe(),
-        )])
-    raise ValueError(f"unhandled task {task!r}")
+
+def _run_cone(spec: JobSpec, ctx: GroupContext, seed: int):
+    scheme = _scheme(spec)
+    point = cone_mod.eta(ctx, ctx.decode(spec.params["element"]))
+    if spec.task == "cone-dist":
+        q = cone_mod.eta(ctx, ctx.decode(spec.params["element2"]))
+        point = point.mul(q.inverse())
+    est = cone_mod.cone_norm(point, scheme)
+    trace_rows = [(n, point.norm_at(n), ratio) for n, ratio in est.trace]
+    return [dict(
+        quantity=spec.task, value=format_number(est.value),
+        spread=_spread(est.liminf_est, est.limsup_est),
+        window=str(scheme.window), scheme=scheme.describe(),
+    )], [(spec.task, trace_rows)]
+
+
+def _run_pullback(spec: JobSpec, ctx: GroupContext, seed: int):
+    scheme = _scheme(spec)
+    fid = spec.params["functional"]
+    if fid == "cone-norm":
+        functional = cone_mod.cone_norm_functional(scheme)
+    elif fid.startswith("coord:"):
+        functional = cone_mod.coordinate_functional(int(fid.split(":", 1)[1]), scheme)
+    else:
+        raise ValueError(f"unknown functional {fid!r} (cone-norm | coord:<i>)")
+    rep = cone_mod.pullback_defect(functional, ctx, _sample_pairs(spec, ctx, seed, 2))
+    return [dict(
+        quantity="pullback-defect", value=format_number(rep.max_ratio),
+        witness=f"violations={rep.violations};bound={format_number(rep.bound_constant)}",
+        window=str(scheme.window), scheme=scheme.describe(),
+    )], []
+
+
+def _run_walk(spec: JobSpec, ctx: None, seed: int):
+    scheme = _scheme(spec)
+    handle = pqm_mod.walk_handle(pqm_mod.walk_build(spec.params["walk"]))
+    res = pqm_mod.homogenise(handle, LatticeVector((1,)), scheme)
+    return [_limit_fields("homogenisation", res, scheme.window, scheme.describe())], []
+
+
+def _run_fekete(spec: JobSpec, ctx: None, seed: int):
+    n_max = int(spec.params["n"])
+    a = _sequence_from_id(spec.params["sequence"])
+    phi = _phi_from_id(spec.params.get("phi", "zero"))
+    res = pqm_mod.fekete_limit(a, phi, n_max, seed=seed)
+    return [_limit_fields("limit", res, n_max, "plain")], []
 
 
 def _sequence_from_id(sid: str) -> Callable[[int], float]:
-    import math
-
     if sid.startswith("linear:"):
         alpha = float(sid.split(":", 1)[1])
         return lambda n: alpha * n
@@ -573,6 +564,22 @@ def _phi_from_id(pid: str) -> SubadditiveCorrection:
     if pid.startswith("sqrt:"):
         return SubadditiveCorrection.sqrt(float(pid.split(":", 1)[1]))
     raise ValueError(f"unknown phi id {pid!r}")
+
+
+TASKS: dict[str, Task] = {
+    "norm": Task(_run_norm, ("element",)),
+    "translation-length": Task(_run_translation_length, ("element",), window=64, scheme="plain"),
+    "defect": Task(_run_estimate, ("function", "samples"), ("maxlen",)),
+    "lipschitz": Task(_run_estimate, ("function", "samples"), ("maxlen",)),
+    "detect": Task(_run_detect, ("element",), window=32, scheme="arith:2"),
+    "extend": Task(_run_extend, ("element", "at"), ("c",), window=16),
+    "ctrick": Task(_run_ctrick, ("element", "element2", "n"), ("base",)),
+    "cone-norm": Task(_run_cone, ("element",), window=8, scheme="plain"),
+    "cone-dist": Task(_run_cone, ("element", "element2"), window=8, scheme="plain"),
+    "pullback": Task(_run_pullback, ("functional", "samples"), ("maxlen",), window=8, scheme="plain"),
+    "walk": Task(_run_walk, ("walk",), context=False, window=4096, scheme="plain"),
+    "fekete": Task(_run_fekete, ("sequence", "n"), ("phi",), context=False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +602,10 @@ def run_jobfile(
     if not jobs:
         raise JobSpecError(["job file contains no jobs"])
     for job in jobs:
-        if window_override is not None and job.task in DEFAULT_WINDOWS:
+        task = TASKS[job.task]
+        if window_override is not None and task.window is not None:
             job.params["window"] = str(window_override)
-        if scheme_override is not None and job.task not in ("norm", "fekete", "ctrick", "extend"):
+        if scheme_override is not None and task.scheme is not None:
             job.params["scheme"] = scheme_override
     all_rows: list[dict] = []
     failed = False
@@ -620,40 +628,11 @@ def run_jobfile(
 # argparse front-end
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-", help="output path (default: stdout)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--seed", type=int, default=None, help="override job seeds")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--scheme", default=None, help="plain | arith:<k> | cesaro")
     p.add_argument("--reproducible", action="store_true",
                    help="blank the wall-time column for byte-identical reruns")
-
-
-_TASK_FLAGS = {
-    "element": dict(),
-    "element2": dict(),
-    "n": dict(type=int),
-    "c": dict(),
-    "at": dict(help="semicolon-separated element encodings"),
-    "function": dict(help="norm | brooks:<pattern> | coord:<i> | scale:<k>"),
-    "functional": dict(help="cone-norm | coord:<i>"),
-    "samples": dict(type=int),
-    "maxlen": dict(type=int),
-    "walk": dict(help="alternating | all-up | doubling-blocks"),
-    "sequence": dict(help="linear:<a> | halfceil | sqrt-drift:<a>"),
-    "phi": dict(help="zero | const:<d> | sqrt:<c>"),
-    "base": dict(help="g | h"),
-}
-
-_CONTEXT_FLAGS = {
-    "family": dict(help="free | perm | lattice | heisenberg"),
-    "rank": dict(type=int),
-    "dim": dict(type=int),
-    "degree": dict(type=int),
-    "generators": dict(help="explicit:<encs> | normal:<encs> | all-commutators"),
-    "backend": dict(),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -664,17 +643,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a job file")
     runp.add_argument("--spec", required=True, help="job file path")
-    _add_common_flags(runp)
-    for task, table in TASKS.items():
-        tp = sub.add_parser(task, help=f"run a single {task} job")
-        keys = sorted(table["required"] | table["optional"])
-        for key in keys:
-            tp.add_argument(f"--{key}", required=key in table["required"],
-                            **_TASK_FLAGS.get(key, {}))
-        if table["context"]:
-            for key, kw in _CONTEXT_FLAGS.items():
-                tp.add_argument(f"--{key}", required=(key == "family"), **kw)
-        _add_common_flags(tp)
+    for key in ("seed", "window", "scheme"):
+        runp.add_argument(f"--{key}", type=KEYS[key].type, help=f"override the {key} of jobs that take one")
+    _add_output_flags(runp)
+    for name, task in TASKS.items():
+        tp = sub.add_parser(name, help=f"run a single {name} job")
+        for key in task.keys:
+            tp.add_argument(f"--{key}", type=KEYS[key].type, help=KEYS[key].help,
+                            required=key in task.required or key == "family")
+        _add_output_flags(tp)
     return parser
 
 
@@ -691,25 +668,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 window_override=args.window, scheme_override=args.scheme,
             )
         else:
-            params: dict[str, str] = {"task": args.command}
-            table = TASKS[args.command]
-            for key in table["required"] | table["optional"]:
-                value = getattr(args, key.replace("-", "_"), None)
-                if value is not None:
-                    params[key] = str(value)
-            if table["context"]:
-                for key in _CONTEXT_FLAGS:
-                    value = getattr(args, key, None)
-                    if value is not None:
-                        params[key] = str(value)
-            for key in ("window", "scheme"):
-                value = getattr(args, key, None)
+            params = {"task": args.command}
+            for key in TASKS[args.command].keys:
+                value = getattr(args, key)
                 if value is not None:
                     params[key] = str(value)
             job, errors = _validate_job(params, 0, 0)
             if errors:
                 raise JobSpecError(errors)
-            result = run_job(job, args.seed)
+            result = run_job(job)
             rows = [r.as_dict(reproducible=args.reproducible) for r in result.rows]
             rendered = emit(rows, args.format, args.out, CLI_REPORT_COLUMNS)
             code = 1 if result.failed else 0

@@ -25,7 +25,7 @@ from .pqm import (
     LimitScheme,
     PqmHandle,
     _ratio,
-    tail_statistics,
+    scheme_limit,
 )
 
 
@@ -50,10 +50,6 @@ class ConeEstimate:
     limsup_est: float | Fraction
     scheme: LimitScheme
     trace: tuple = ()
-
-    @property
-    def spread(self) -> tuple:
-        return (self.liminf_est, self.limsup_est)
 
     def __post_init__(self):
         if not (float(self.liminf_est) <= float(self.value) <= float(self.limsup_est)):
@@ -148,16 +144,8 @@ def eta(ctx: GroupContext, g: GroupElement) -> ConePoint:
     return ConePoint(ctx, gen, bound, label=f"eta({g.encode()})")
 
 
-def _scheme_estimate(scheme: LimitScheme, values: Sequence, indices: Sequence[int]) -> ConeEstimate:
-    series = list(values)
-    if scheme.kind == "cesaro":
-        running = []
-        acc = 0.0
-        for i, v in enumerate(series, start=1):
-            acc += float(v)
-            running.append(acc / i)
-        series = running
-    estimate, liminf_est, limsup_est = tail_statistics(series)
+def _scheme_estimate(scheme: LimitScheme, values: list, indices: Sequence[int]) -> ConeEstimate:
+    estimate, liminf_est, limsup_est, _ = scheme_limit(scheme, values)
     return ConeEstimate(estimate, liminf_est, limsup_est, scheme,
                         trace=tuple(zip(indices, values)))
 
@@ -222,10 +210,9 @@ def lifted_defect_check(
     f: PqmHandle,
     point_pairs: Iterable[tuple[ConePoint, ConePoint]],
     scheme: LimitScheme,
-    tol: float = DEFAULT_TOLERANCE,
     linear_bound_C: float | None = None,
 ) -> LiftedDefectReport:
-    """Check |F(p) - F(pq) + F(q)| <= D * min(cone norms) + tol over
+    """Check |F(p) - F(pq) + F(q)| <= D * min(cone norms) + DEFAULT_TOLERANCE over
     sampled cone-point pairs, for the lift F of a measured handle f."""
     if f.measured is None or f.measured.defect_D is None:
         raise ConeError("lifted defect check needs measured constants on f")
@@ -240,7 +227,7 @@ def lifted_defect_check(
         fpq = float(lift_function(f, p.mul(q), scheme, linear_bound_C).value)
         delta = abs(fp - fpq + fq)
         m = min(float(cone_norm(p, scheme).value), float(cone_norm(q, scheme).value))
-        bound = dd * m + tol
+        bound = dd * m + DEFAULT_TOLERANCE
         if delta > bound:
             violations += 1
         if m > 0:
@@ -276,9 +263,8 @@ def coordinate_functional(index: int, scheme: LimitScheme) -> ConeFunctional:
     """The i-th coordinate functional on the cone of Z^d (L^1-Lipschitz)."""
 
     def fn(p: ConePoint) -> float:
-        indices = scheme.indices()
-        values = [p.element_at(n).coords[index] / n for n in indices]
-        return tail_statistics(values)[0]
+        values = [p.element_at(n).coords[index] / n for n in scheme.indices()]
+        return scheme_limit(scheme, values)[0]
 
     return ConeFunctional(f"cone-coord:{index}[{scheme.describe()}]", fn, 1.0)
 
@@ -296,11 +282,10 @@ def pullback_defect(
     F: ConeFunctional,
     ctx: GroupContext,
     pairs: Iterable[tuple[GroupElement, GroupElement]],
-    tol: float = DEFAULT_TOLERANCE,
 ) -> PullbackReport:
     """Measure the defect of g -> F(eta(g)) over sampled pairs and check it
-    against 24 * C * min(||g||, ||h||).  Rejects functionals that do not
-    vanish on the zero point."""
+    against 24 * C * min(||g||, ||h||), up to ``DEFAULT_TOLERANCE``.
+    Rejects functionals that do not vanish on the zero point."""
     zero = F(eta(ctx, ctx.identity()))
     if abs(float(zero)) > 1e-9:
         raise ConeError(f"{F.name} does not vanish on the zero cone point: {zero}")
@@ -318,9 +303,9 @@ def pullback_defect(
         max_defect = max(max_defect, value)
         if m > 0:
             max_ratio = max(max_ratio, value / m)
-            if value > bound_c * m + tol:
+            if value > bound_c * m + DEFAULT_TOLERANCE:
                 violations += 1
-        elif value > tol:
+        elif value > DEFAULT_TOLERANCE:
             violations += 1
     return PullbackReport(count, violations, max_defect, max_ratio, bound_c)
 

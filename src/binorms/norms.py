@@ -89,15 +89,14 @@ class GeneratingSet:
 
     kinds: ``explicit`` (a finite inverse-closed list), ``normal-closure``
     (all conjugates of the listed elements and of their inverses),
-    ``all-commutators`` (free-group commutator subgroup),
-    ``unit-ball`` (radius-1 ball of the (R^d, L^1) length model).
+    ``all-commutators`` (free-group commutator subgroup).
     """
 
     kind: str
     elements: tuple[GroupElement, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("explicit", "normal-closure", "all-commutators", "unit-ball"):
+        if self.kind not in ("explicit", "normal-closure", "all-commutators"):
             raise ValueError(f"unknown generating-set kind {self.kind!r}")
         if any(e.is_identity() for e in self.elements):
             raise ValueError("generating sets must not contain the identity")
@@ -126,10 +125,6 @@ class GeneratingSet:
     @classmethod
     def all_commutators(cls) -> "GeneratingSet":
         return cls("all-commutators")
-
-    @classmethod
-    def unit_ball(cls) -> "GeneratingSet":
-        return cls("unit-ball")
 
     def describe(self) -> str:
         if self.elements:
@@ -548,6 +543,8 @@ class GroupContext:
             raise ValueError("l1 backend needs the lattice family")
         if self.backend == "cl-bounds" and self.generators.kind != "all-commutators":
             raise ValueError("cl-bounds backend needs the all-commutators descriptor")
+        for s in self.generators.elements:
+            self.check_member(s, s.encode())
 
     # -- identities and parsing ------------------------------------------
 
@@ -567,6 +564,12 @@ class GroupContext:
         from .groups import decode
 
         g = decode(self.family, text, rank=self.rank)
+        self.check_member(g, text)
+        return g
+
+    def check_member(self, g: GroupElement, text: str) -> None:
+        """Reject a lattice vector of another dimension or a permutation
+        moving a point beyond the degree (``text`` names g in the error)."""
         if self.family == "lattice" and g.dim != self.dim:
             raise FamilyMismatchError(
                 f"lattice vector {text!r} has dimension {g.dim}, context has {self.dim}"
@@ -575,7 +578,6 @@ class GroupContext:
             raise FamilyMismatchError(
                 f"permutation {text!r} moves {g.support[-1]}, beyond degree {self.degree}"
             )
-        return g
 
     def describe(self) -> str:
         size = {"free": f"rank={self.rank}", "perm": f"degree={self.degree}",
@@ -641,8 +643,9 @@ class GroupContext:
         return self.norm_exact(g * h.inverse())
 
     def generator_sample(self, seed: int, count: int) -> list[GroupElement]:
-        """Sampleable generators: the explicit list, or class representatives
-        with seeded conjugators for normal closures."""
+        """Sampleable generators: the explicit list, class representatives
+        with seeded conjugators for normal closures, or seeded commutators
+        of short words for all commutators."""
         import random
 
         gens = self.generators
@@ -663,18 +666,16 @@ class GroupContext:
             for _ in range(count):
                 out.append(conjugate(base[rng.randrange(len(base))], draw(rng)))
             return out
-        if gens.kind == "all-commutators":
-            rng = random.Random(seed)
-            words = all_reduced_words(self.rank, 2)
-            out = []
-            while len(out) < count:
-                u = words[rng.randrange(len(words))]
-                v = words[rng.randrange(len(words))]
-                c = commutator(u, v)
-                if not c.is_identity():
-                    out.append(c)
-            return out
-        raise NormError(f"generating set {gens.kind!r} is not sampleable")
+        rng = random.Random(seed)
+        words = all_reduced_words(self.rank, 2)
+        out = []
+        while len(out) < count:
+            u = words[rng.randrange(len(words))]
+            v = words[rng.randrange(len(words))]
+            c = commutator(u, v)
+            if not c.is_identity():
+                out.append(c)
+        return out
 
 
 # -- ready-made contexts -----------------------------------------------------

@@ -8,7 +8,9 @@ the module provides:
 
 * deterministic homogenisation under window schemes that stand in for a
   linear ultrafilter (plain / arithmetic / Cesaro windows, with the
-  liminf/limsup spread reported so non-convergence is data, not failure),
+  liminf/limsup spread reported so non-convergence is data, not failure);
+  one routine, :func:`scheme_limit`, reads every such limit, here and in
+  the cone module,
 * subadditive limit estimation with an integrable correction term,
 * anti-symmetrisation and the inf-convolution extension of ``n -> c*n``
   from a cyclic subgroup to the whole group,
@@ -152,10 +154,8 @@ class LimitScheme:
 
     @classmethod
     def parse(cls, text: str, window: int) -> "LimitScheme":
-        if text == "plain":
-            return cls("plain", window)
-        if text == "cesaro":
-            return cls("cesaro", window)
+        if text in ("plain", "cesaro"):
+            return cls(text, window)
         if text.startswith("arith:"):
             return cls("arith", window, k=int(text.split(":", 1)[1]))
         raise ValueError(f"unknown scheme {text!r} (plain | arith:<k> | cesaro)")
@@ -173,9 +173,6 @@ class HomogenisationResult:
     indices: tuple[int, ...] = ()
     values: tuple = ()
 
-    def spread(self):
-        return self.limsup_est - self.liminf_est
-
 
 def _ratio(value, n: int):
     if isinstance(value, (int, Fraction)):
@@ -183,19 +180,29 @@ def _ratio(value, n: int):
     return value / n
 
 
-def tail_statistics(series: Sequence) -> tuple:
-    """(mean, min, max) over the tail half-window.
+def scheme_limit(scheme: LimitScheme, values: Sequence) -> tuple:
+    """(estimate, liminf, limsup, converged) of a ratio series along the scheme.
 
-    A constant tail keeps its exact value (int/Fraction); otherwise the
-    mean is taken in float to avoid astronomically long exact rationals.
+    ``cesaro`` first replaces the series by its running means.  The
+    estimate is the mean over the tail half-window, the tail min/max are
+    the liminf/limsup estimates, and ``converged`` holds when their spread
+    is within ``DEFAULT_TOLERANCE`` relative to the estimate.  A constant
+    tail keeps its exact value (int/Fraction); otherwise the mean is taken
+    in float to avoid astronomically long exact rationals.
     """
+    series = values
+    if scheme.kind == "cesaro":
+        series = []
+        acc = 0.0
+        for i, v in enumerate(values, start=1):
+            acc += float(v)
+            series.append(acc / i)
     tail = series[len(series) // 2 :]
     lo = min(tail)
     hi = max(tail)
-    if lo == hi:
-        return lo, lo, hi
-    estimate = sum(float(v) for v in tail) / len(tail)
-    return estimate, lo, hi
+    estimate = lo if lo == hi else sum(float(v) for v in tail) / len(tail)
+    converged = float(hi - lo) <= DEFAULT_TOLERANCE * max(1.0, abs(float(estimate)))
+    return estimate, lo, hi, converged
 
 
 def _power_walk(g: GroupElement, indices: Sequence[int]) -> list[GroupElement]:
@@ -216,59 +223,32 @@ def _power_walk(g: GroupElement, indices: Sequence[int]) -> list[GroupElement]:
     return out
 
 
-def homogenise(
-    f: PqmHandle | Callable,
-    g: GroupElement,
-    scheme: LimitScheme,
-    tol: float = DEFAULT_TOLERANCE,
-) -> HomogenisationResult:
-    """Estimate lim f(g^n)/n along the scheme.
-
-    The estimate is the mean over the tail half-window, with the tail
-    min/max reported as liminf/limsup estimates; ``converged`` holds when
-    the tail spread is below the relative tolerance.
-    """
+def homogenise(f: PqmHandle | Callable, g: GroupElement, scheme: LimitScheme) -> HomogenisationResult:
+    """Estimate lim f(g^n)/n along the scheme, as :func:`scheme_limit`
+    reads the ratios f(g^n)/n at the scheme's indices."""
     indices = scheme.indices()
     values = [_ratio(f(p), n) for n, p in zip(indices, _power_walk(g, indices))]
-    series = values
-    if scheme.kind == "cesaro":
-        running = []
-        acc = 0.0
-        for i, v in enumerate(values, start=1):
-            acc += float(v)
-            running.append(acc / i)
-        series = running
-    estimate, liminf_est, limsup_est = tail_statistics(series)
-    converged = float(limsup_est - liminf_est) <= tol * max(1.0, abs(float(estimate)))
     return HomogenisationResult(
-        estimate, liminf_est, limsup_est, converged, scheme,
-        tuple(indices), tuple(values),
+        *scheme_limit(scheme, values), scheme, tuple(indices), tuple(values),
     )
 
 
-def homogenised_handle(f: PqmHandle, scheme: LimitScheme, tol: float = DEFAULT_TOLERANCE) -> PqmHandle:
+def homogenised_handle(f: PqmHandle, scheme: LimitScheme) -> PqmHandle:
     """The handle g -> homogenise(f, g, scheme).estimate (lazy, per call)."""
 
     def fn(g: GroupElement):
-        return homogenise(f, g, scheme, tol=tol).estimate
+        return homogenise(f, g, scheme).estimate
 
     return PqmHandle(f"hom({f.name};{scheme.describe()})", fn, f.ctx)
 
 
-def homogeneity_check(
-    f_hom: PqmHandle,
-    g: GroupElement,
-    k_list: Sequence[int],
-    scheme: LimitScheme | None = None,
-):
-    """max_k |f_hom(g^k) - k * f_hom(g)|; pass a scheme to homogenise a raw
-    handle on the fly instead."""
-    handle = homogenised_handle(f_hom, scheme) if scheme is not None else f_hom
-    base = handle(g)
+def homogeneity_check(f_hom: PqmHandle, g: GroupElement, k_list: Sequence[int]):
+    """max_k |f_hom(g^k) - k * f_hom(g)|, with the table of f_hom(g^k)."""
+    base = f_hom(g)
     residual = 0.0
     table = []
     for k in k_list:
-        value = handle(g ** k)
+        value = f_hom(g ** k)
         r = abs(float(value - k * base))
         table.append((k, value))
         residual = max(residual, r)
@@ -512,14 +492,14 @@ def fekete_limit(
     n_max: int,
     hypothesis_checks: int = 400,
     seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> HomogenisationResult:
     """Limit estimate of a(n)/n for an almost-subadditive sequence.
 
     The corrected subadditivity a(m+n) <= a(m) + a(n) + phi(m+n) is checked
     on a triangular sample first (a violation raises, reporting the pair);
-    phi must be increasing on the sampled arguments.  The two-sided tail
-    spread is reported just as in :func:`homogenise`.
+    phi must be increasing on the sampled arguments.  The limit is read
+    off a(n)/n, n = 1..n_max, by :func:`scheme_limit` under the plain
+    scheme, with the same two-sided tail spread as :func:`homogenise`.
     """
     sample = _triangular_sample(n_max, hypothesis_checks, seed)
     args = sorted({float(m + n) for m, n in sample})
@@ -543,9 +523,7 @@ def fekete_limit(
             raise FeketeHypothesisError(m, n, lhs, rhs)
     scheme = LimitScheme("plain", n_max)
     values = [_ratio(av(n), n) for n in scheme.indices()]
-    estimate, liminf_est, limsup_est = tail_statistics(values)
-    converged = float(limsup_est - liminf_est) <= tol * max(1.0, abs(float(estimate)))
-    return HomogenisationResult(estimate, liminf_est, limsup_est, converged, scheme,
+    return HomogenisationResult(*scheme_limit(scheme, values), scheme,
                                 tuple(scheme.indices()), tuple(values))
 
 
@@ -814,10 +792,8 @@ def c_trick_witness(g: GroupElement, h: GroupElement, n: int, base: str = "h") -
         raise FamilyMismatchError("c-trick needs both elements in one family")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if base == "auto":
-        base = "h"
     if base not in ("g", "h"):
-        raise ValueError("base must be 'g', 'h' or 'auto'")
+        raise ValueError("base must be 'g' or 'h'")
     items = _g_shape_witnesses(g, h, n) if base == "g" else _h_shape_witnesses(g, h, n)
     witnesses = tuple(c for c, _ in items)
     certificates = tuple(cert for _, cert in items)

@@ -295,4 +295,11 @@ def test_criterion_14_reproducible_batch_runs(tmp_path):
     for name in traces1:
         twin = name.replace("first", "second")
         ok = ok and (tmp_path / name).read_bytes() == (tmp_path / twin).read_bytes()
+    # and the first run must reproduce the recorded report and traces byte for byte
+    recorded = Path(__file__).resolve().parent / "data" / "acceptance"
+    names = sorted(p.name for p in recorded.glob("report.csv*"))
+    ok = ok and [n.replace("report", "first") for n in names] == sorted(["first.csv", *traces1])
+    for name in names:
+        mine = tmp_path / name.replace("report", "first")
+        ok = ok and mine.exists() and mine.read_bytes() == (recorded / name).read_bytes()
     _report(14, "byte-identical reproducible batch", ok)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,8 +6,11 @@ import json
 import pytest
 
 from binorms.cli import (
+    KEYS,
+    TASKS,
     JobSpecError,
     build_context,
+    build_parser,
     main,
     parse_jobfile,
     parse_jobspec,
@@ -72,6 +76,48 @@ job {
         with pytest.raises(JobSpecError) as exc:
             parse_jobspec(text)
         assert any("family" in e for e in exc.value.errors)
+
+
+class TestTaskRegistry:
+    @staticmethod
+    def _job_text(name: str, extra: dict[str, str]) -> str:
+        task = TASKS[name]
+        params = {k: "1" if KEYS[k].type is int else "x" for k in task.required}
+        if task.context:
+            params["family"] = "lattice"
+        params.update(extra)
+        body = "".join(f"  {k} = {v}\n" for k, v in params.items())
+        return f"job {{\n  task = {name}\n{body}}}\n"
+
+    @pytest.mark.parametrize("name", sorted(TASKS))
+    def test_subcommand_flags_are_the_task_keys(self, name):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in sub.choices[name]._actions}
+        assert flags - {"help", "out", "format", "reproducible"} == set(TASKS[name].keys)
+
+    @pytest.mark.parametrize("name", sorted(TASKS))
+    def test_keys_the_task_does_not_read_are_rejected(self, name):
+        assert parse_jobspec(self._job_text(name, {})).task == name
+        ignored = [("tolerance", "1e-6")]
+        ignored += [(k, v) for k, v in (("window", "16"), ("scheme", "plain"))
+                    if k not in TASKS[name].keys]
+        for key, value in ignored:
+            with pytest.raises(JobSpecError) as exc:
+                parse_jobspec(self._job_text(name, {key: value}))
+            assert any(f".{key}: unknown key" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("name, extra, window, scheme", [
+        ("translation-length", {"element": "[1,0]"}, "64", "plain:64"),
+        ("detect", {"element": "[1,0]"}, "32", "arith:2:8"),
+        ("extend", {"element": "[1,0]", "at": "[2,1]"}, "16", ""),
+        ("cone-norm", {"element": "[1,0]"}, "8", "plain:8"),
+        ("pullback", {"functional": "coord:0", "samples": "3"}, "8", "plain:8"),
+        ("walk", {"walk": "alternating"}, "4096", "plain:4096"),
+    ])
+    def test_default_window_and_scheme(self, name, extra, window, scheme):
+        row = run_job(parse_jobspec(self._job_text(name, extra))).rows[0]
+        assert (row.quantity != "error", row.window, row.scheme) == (True, window, scheme)
 
 
 class TestRunJob:
@@ -196,12 +242,26 @@ class TestMainEntry:
     @pytest.mark.parametrize("argv", [
         ["--family", "lattice", "--dim", "2", "--element", "[1,2,3]"],
         ["--family", "perm", "--degree", "3", "--element", "(1 2 3 4 5 6 7)"],
+        ["--family", "perm", "--degree", "3", "--generators", "explicit:(1 7)",
+         "--backend", "bfs", "--element", "(1 2)"],
+        ["--family", "lattice", "--dim", "2", "--generators", "explicit:[1,0,0]",
+         "--element", "[1,0]"],
     ])
     def test_norm_rejects_elements_outside_the_context(self, argv, capsys):
         code = main(["norm", *argv, "--reproducible"])
         out = capsys.readouterr().out
         assert code == 1
         assert ",error,E_FAMILY_MISMATCH," in out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["norm", "--family", "lattice", "--dim", "2", "--generators", "unit-ball",
+          "--element", "[1,0]"], "E_NORM"),
+        (["ctrick", "--family", "free", "--element", "a", "--element2", "b", "--n", "2",
+          "--base", "auto"], "E_VALUE"),
+    ])
+    def test_removed_options_give_error_rows(self, argv, code, capsys):
+        assert main([*argv, "--reproducible"]) == 1
+        assert f",error,{code}," in capsys.readouterr().out
 
     def test_norm_accepts_permutations_within_the_degree(self, capsys):
         code = main(["norm", "--family", "perm", "--degree", "3",

@@ -209,6 +209,14 @@ class TestPullback:
         assert report.violations == 0
         assert report.max_ratio == 2  # attained by the (a, a^-1) pair
 
+    @pytest.mark.parametrize("scheme", [SCHEME8, LimitScheme("arith", 8, k=3),
+                                        LimitScheme("cesaro", 8), LimitScheme("cesaro", 13)])
+    def test_coordinate_functional_agrees_with_cone_norm(self, scheme):
+        # a non-negative point of Z whose ratio g_n / n is not constant, so
+        # the Cesaro running means differ from the raw ratios
+        p = ConePoint(Z, lambda n: LatticeVector((n + (n // 2 if n % 2 else 0),)), 2)
+        assert coordinate_functional(0, scheme)(p) == cone_norm(p, scheme).value
+
     def test_nonvanishing_functional_rejected(self):
         from binorms.cone import ConeFunctional
 

@@ -37,6 +37,7 @@ from binorms.pqm import (
     measure_constants,
     norm_handle,
     scaled_coordinate_handle,
+    scheme_limit,
     walk_build,
     walk_handle,
 )
@@ -69,6 +70,16 @@ class TestLimitScheme:
     def test_parse(self):
         assert LimitScheme.parse("arith:2", 16) == LimitScheme("arith", 16, k=2)
         assert LimitScheme.parse("cesaro", 8).kind == "cesaro"
+
+    def test_scheme_limit_reads_the_tail_half_window(self):
+        series = [2, 0] * 4
+        assert scheme_limit(LimitScheme("plain", 8), series) == (1.0, 0, 2, False)
+        # running means 2, 1, 4/3, 1, 6/5, 1, 8/7, 1: the tail is the last four
+        estimate, lo, hi, converged = scheme_limit(LimitScheme("cesaro", 8), series)
+        assert (lo, hi, converged) == (1.0, 1.2, False)
+        assert estimate == (1.2 + 1.0 + 8 / 7 + 1.0) / 4
+        third = Fraction(1, 3)
+        assert scheme_limit(LimitScheme("plain", 8), [1] * 4 + [third] * 4) == (third, third, third, True)
 
 
 class TestDefectEstimate:
