@@ -16,7 +16,7 @@ from .groups import (
     cycle_decomposition,
     decode,
 )
-from .kernels import ACTIVE_BACKEND, NUMBA_AVAILABLE
+from .kernels import ACTIVE_BACKEND
 from .norms import (
     GeneratingSet,
     GroupContext,

@@ -37,23 +37,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import cone as cone_mod
 from . import pqm as pqm_mod
-from .groups import (
-    HEISENBERG_A,
-    HEISENBERG_B,
-    EncodingError,
-    FamilyMismatchError,
-    FreeWord,
-    LatticeVector,
-    Permutation,
-    decode,
-)
-from .norms import (
-    GeneratingSet,
-    GroupContext,
-    InexactNormError,
-    NormError,
-    standard_lattice_generators,
-)
+from .groups import EncodingError, FamilyMismatchError, FreeWord, LatticeVector, decode
+from .norms import GeneratingSet, GroupContext, InexactNormError, NormError, standard_generators
 from .pqm import (
     FeketeHypothesisError,
     FiniteOrderError,
@@ -215,11 +200,14 @@ def _validate_job(params: dict[str, str], line: int, index: int) -> tuple[JobSpe
                 errors.append(f"{path}.{key}: expected an integer, got {value!r} (line {line})")
         elif key == "family" and value not in _DEFAULT_BACKENDS:
             errors.append(f"{path}.family: unknown family {value!r} (line {line})")
-        elif key == "scheme":
-            try:
-                LimitScheme.parse(value, 8)
-            except ValueError as exc:
-                errors.append(f"{path}.scheme: {exc} (line {line})")
+    # the scheme reads the job window (a malformed one is reported above);
+    # detect derives its scheme window when it runs
+    if task.scheme is not None and not any(e.startswith(f"{path}.window:") for e in errors):
+        window = 8 if name == "detect" else int(params.get("window", task.window))
+        try:
+            LimitScheme.parse(params.get("scheme", task.scheme), window)
+        except ValueError as exc:
+            errors.append(f"{path}.scheme: {exc} (line {line})")
     for key in task.required:
         if key not in params:
             errors.append(f"{path}: missing required key {key!r} for task {name!r} (line {line})")
@@ -278,22 +266,12 @@ def build_context(params: dict[str, str]) -> GroupContext:
     degree = int(params.get("degree", 5))
     backend = params.get("backend", _DEFAULT_BACKENDS[family])
     gen_text = params.get("generators")
-    if gen_text is None:
-        if family == "lattice":
-            gens = standard_lattice_generators(dim)
-        elif family == "free":
-            if backend == "cl-bounds":
-                gens = GeneratingSet.all_commutators()
-            else:
-                gens = GeneratingSet.normal_closure(
-                    tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
-                )
-        elif family == "perm":
-            gens = GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
-        else:
-            gens = GeneratingSet.normal_closure((HEISENBERG_A, HEISENBERG_B))
-    else:
+    if gen_text is not None:
         gens = _parse_generators(gen_text, family, rank, dim)
+    elif family == "free" and backend == "cl-bounds":
+        gens = GeneratingSet.all_commutators()
+    else:
+        gens = standard_generators(family, rank, dim)
     return GroupContext(family, gens, backend, rank=rank, degree=degree, dim=dim)
 
 
@@ -304,7 +282,7 @@ def _parse_generators(text: str, family: str, rank: int, dim: int) -> Generating
     if kind == "explicit" and body == "standard":
         if family != "lattice":
             raise NormError("explicit:standard is only defined for lattice contexts")
-        return standard_lattice_generators(dim)
+        return standard_generators("lattice", dim=dim)
     if kind in ("explicit", "normal"):
         elems = tuple(decode(family, enc, rank=rank) for enc in _split_encodings(body))
         if not elems:
@@ -471,8 +449,7 @@ def _run_extend(spec: JobSpec, ctx: GroupContext, seed: int):
     if "c" in params:
         c = Fraction(params["c"])
     else:
-        powers = [g ** m for m in range(1, window + 1)]
-        c = min(Fraction(ctx.norm_exact(p), m) for m, p in enumerate(powers, start=1))
+        c = min(Fraction(norm) / m for m, _, norm in ctx.power_norms(g, window))
     ext = pqm_mod.mcshane_extend(ctx, g, c, window)
     rows = []
     for enc in params["at"].split(";"):
@@ -607,6 +584,13 @@ def run_jobfile(
             job.params["window"] = str(window_override)
         if scheme_override is not None and task.scheme is not None:
             job.params["scheme"] = scheme_override
+    return run_jobs(jobs, out, fmt, seed_override, reproducible)
+
+
+def run_jobs(jobs: Sequence[JobSpec], out: str, fmt: str, seed_override: int | None,
+             reproducible: bool) -> tuple[int, str]:
+    """Run validated jobs in order and emit one report, with each trace as
+    ``<out>.trace<k>.csv``; returns (exit_code, serialized report)."""
     all_rows: list[dict] = []
     failed = False
     trace_index = 0
@@ -676,10 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             job, errors = _validate_job(params, 0, 0)
             if errors:
                 raise JobSpecError(errors)
-            result = run_job(job)
-            rows = [r.as_dict(reproducible=args.reproducible) for r in result.rows]
-            rendered = emit(rows, args.format, args.out, CLI_REPORT_COLUMNS)
-            code = 1 if result.failed else 0
+            code, rendered = run_jobs([job], args.out, args.format, None, args.reproducible)
     except JobSpecError as exc:
         for e in exc.errors:
             print(f"spec error: {e}", file=sys.stderr)

@@ -56,13 +56,17 @@ class ConeEstimate:
             raise ValueError("estimate must lie between its liminf and limsup")
 
 
+# Longest free word a cone point hands to the norm, so a single estimate
+# cannot blow the time budget of the cancellation DP.
+MAX_LETTERS = 4096
+
+
 class ConePoint:
     """A linear-growth sequence representing a point of the asymptotic cone.
 
     Index evaluations are memoised and deterministic; the growth bound is
-    asserted at every index whose norm is evaluated.  ``max_letters`` caps
-    the word length fed to the cancellation DP so a single estimate cannot
-    blow the time budget (raise the cap for bigger windows).
+    asserted at every index whose norm is evaluated, and a free word over
+    ``MAX_LETTERS`` letters is refused.
     """
 
     def __init__(
@@ -71,13 +75,11 @@ class ConePoint:
         generator: Callable[[int], GroupElement],
         growth_bound,
         label: str = "seq",
-        max_letters: int = 4096,
     ):
         self.ctx = ctx
         self.generator = generator
         self.growth_bound = growth_bound
         self.label = label
-        self.max_letters = max_letters
         self._elements: dict[int, GroupElement] = {}
         self._norms: dict[int, float] = {}
 
@@ -86,10 +88,10 @@ class ConePoint:
             raise ValueError("cone sequences are indexed by n >= 1")
         if n not in self._elements:
             elem = self.generator(n)
-            if isinstance(elem, FreeWord) and len(elem) > self.max_letters:
+            if isinstance(elem, FreeWord) and len(elem) > MAX_LETTERS:
                 raise ConeError(
                     f"index {n} of {self.label} has {len(elem)} letters, "
-                    f"over the {self.max_letters}-letter evaluation cap"
+                    f"over the {MAX_LETTERS}-letter evaluation cap"
                 )
             self._elements[n] = elem
         return self._elements[n]
@@ -114,7 +116,6 @@ class ConePoint:
             lambda n: self.element_at(n) * other.element_at(n),
             self.growth_bound + other.growth_bound,
             label=f"({self.label})*({other.label})",
-            max_letters=max(self.max_letters, other.max_letters),
         )
 
     def inverse(self) -> "ConePoint":
@@ -123,22 +124,17 @@ class ConePoint:
             lambda n: self.element_at(n).inverse(),
             self.growth_bound,
             label=f"({self.label})^-1",
-            max_letters=self.max_letters,
         )
 
 
 def eta(ctx: GroupContext, g: GroupElement) -> ConePoint:
     """The canonical point [g^n], with growth bound ||g||."""
     bound = ctx.norm_exact(g)
-    powers: dict[int, GroupElement] = {0: ctx.identity()}
+    powers = [ctx.identity()]
 
     def gen(n: int) -> GroupElement:
-        m = max(powers)
-        cur = powers[m]
-        while m < n:
-            m += 1
-            cur = cur * g
-            powers[m] = cur
+        while len(powers) <= n:
+            powers.append(powers[-1] * g)
         return powers[n]
 
     return ConePoint(ctx, gen, bound, label=f"eta({g.encode()})")

@@ -62,9 +62,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self == self.identity()
 
-    def __invert__(self) -> "GroupElement":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "GroupElement":
         if not isinstance(n, int):
             raise TypeError(f"exponent must be an integer, got {type(n).__name__}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import kernels
 from .groups import (
@@ -132,13 +132,36 @@ class GeneratingSet:
         return self.kind
 
 
-def standard_lattice_generators(dim: int) -> GeneratingSet:
-    gens = []
-    for i in range(dim):
-        coords = [0] * dim
-        coords[i] = 1
-        gens.append(LatticeVector(tuple(coords)))
-    return GeneratingSet.explicit_symmetrized(gens)
+def standard_generators(family: str, rank: int = 2, dim: int = 2) -> GeneratingSet:
+    """Each family's default generating set: the unit vectors of Z^dim and
+    their inverses, or the normal closure of the free generators, of the
+    transposition (1 2), or of the Heisenberg a and b."""
+    if family == "lattice":
+        return GeneratingSet.explicit_symmetrized(
+            LatticeVector(tuple(int(i == j) for j in range(dim))) for i in range(dim)
+        )
+    if family == "free":
+        return GeneratingSet.normal_closure(
+            tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
+        )
+    if family == "perm":
+        return GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
+    if family == "heisenberg":
+        return GeneratingSet.normal_closure((HEISENBERG_A, HEISENBERG_B))
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _symmetric(gens: GeneratingSet) -> set[str]:
+    return {t.encode() for s in gens.elements for t in (s, s.inverse())}
+
+
+def _is_standard_closure(ctx: "GroupContext") -> bool:
+    """Whether the context's generating set is the normal closure of its
+    family's standard generators."""
+    if ctx.generators.kind != "normal-closure":
+        return False
+    standard = standard_generators(ctx.family, ctx.rank, ctx.dim)
+    return standard.kind == "normal-closure" and _symmetric(ctx.generators) == _symmetric(standard)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +280,17 @@ class BfsBall:
             self.radius += 1
 
 
+def _conjugates(gens: Iterable[GroupElement], conjugators: Iterable[GroupElement]) -> list[GroupElement]:
+    """Every x^-1 s^±1 x, deduplicated and sorted by encoding."""
+    out: dict[str, GroupElement] = {}
+    for x in conjugators:
+        for s in gens:
+            for t in (s, s.inverse()):
+                c = conjugate(t, x)
+                out.setdefault(c.encode(), c)
+    return [out[k] for k in sorted(out)]
+
+
 def enumerate_effective_generators(ctx: "GroupContext") -> list[GroupElement]:
     """The finite effective generating set for BFS, or raise NormError."""
     gens = ctx.generators
@@ -265,20 +299,10 @@ def enumerate_effective_generators(ctx: "GroupContext") -> list[GroupElement]:
     if gens.kind == "normal-closure":
         if ctx.family == "perm":
             # conjugates within S_degree: finite, enumerable
-            out: dict[str, GroupElement] = {}
-            for y in all_permutations(ctx.degree):
-                for s in gens.elements:
-                    for t in (s, s.inverse()):
-                        c = conjugate(t, y)
-                        out.setdefault(c.encode(), c)
-            return [out[k] for k in sorted(out)]
+            return _conjugates(gens.elements, all_permutations(ctx.degree))
         if ctx.family == "lattice":
             # conjugation is trivial in an abelian group
-            out = {}
-            for s in gens.elements:
-                for t in (s, s.inverse()):
-                    out.setdefault(t.encode(), t)
-            return [out[k] for k in sorted(out)]
+            return _conjugates(gens.elements, (ctx.identity(),))
         raise NormError(
             f"normal closure is not enumerable for family {ctx.family!r}; "
             "use the dedicated backend"
@@ -305,42 +329,27 @@ def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> Norm
 # bounded searches
 
 
-def _free_conjugating_set(rank: int, conj_len_max: int) -> list[FreeWord]:
-    return all_reduced_words(rank, conj_len_max)
-
-
 def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> list[GroupElement]:
     """Conjugated generators x^-1 s^±1 x with the conjugator x ranging over
     a ball of radius conj_len_max in the ambient standard word metric."""
     gens = ctx.generators
     if gens.kind != "normal-closure":
         raise NormError("conjugate enumeration requires a normal-closure descriptor")
-    out: dict[str, GroupElement] = {}
+    if ctx.family in ("perm", "lattice"):
+        return enumerate_effective_generators(ctx)
     if ctx.family == "free":
-        for xw in _free_conjugating_set(ctx.rank, conj_len_max):
-            for s in gens.elements:
-                for t in (s, s.inverse()):
-                    c = conjugate(t, xw)
-                    if not c.is_identity():
-                        out.setdefault(c.encode(), c)
+        conjugators = all_reduced_words(ctx.rank, conj_len_max)
     elif ctx.family == "heisenberg":
         # conjugation by (p,q,r) depends only on (p,q), so the words
         # a^p b^q with |p|+|q| <= conj_len_max cover the whole ball
-        for p in range(-conj_len_max, conj_len_max + 1):
-            for q in range(-conj_len_max + abs(p), conj_len_max - abs(p) + 1):
-                xw = (HEISENBERG_A ** p) * (HEISENBERG_B ** q)
-                for s in gens.elements:
-                    for t in (s, s.inverse()):
-                        c = conjugate(t, xw)
-                        if not c.is_identity():
-                            out.setdefault(c.encode(), c)
-    elif ctx.family == "perm":
-        return enumerate_effective_generators(ctx)
-    elif ctx.family == "lattice":
-        return enumerate_effective_generators(ctx)
+        conjugators = [
+            (HEISENBERG_A ** p) * (HEISENBERG_B ** q)
+            for p in range(-conj_len_max, conj_len_max + 1)
+            for q in range(-conj_len_max + abs(p), conj_len_max - abs(p) + 1)
+        ]
     else:
         raise NormError(f"no conjugate enumeration for family {ctx.family!r}")
-    return [out[k] for k in sorted(out)]
+    return _conjugates(gens.elements, conjugators)
 
 
 def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
@@ -370,6 +379,34 @@ def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
     return 1
 
 
+def _product_search(g: GroupElement, factors: Sequence[GroupElement], identity: GroupElement,
+                    k_max: int, cap: int, lower: int) -> NormInterval:
+    """[lower, k] for the least k <= k_max with g a product of k factors;
+    [lower, inf] when there is none, or when a level outgrows ``cap``."""
+    factor_set = set(factors)
+    frontier: dict[GroupElement, None] = {identity: None}
+    for k in range(1, k_max + 1):
+        # membership at level k via one lookup per frontier element:
+        # g in frontier * T  <=>  e^-1 g in T for some e
+        for elem in frontier:
+            if elem.inverse() * g in factor_set:
+                if lower > k:
+                    raise NormError(
+                        f"lower bound {lower} exceeds found product length {k}"
+                    )
+                return NormInterval(lower, k, lower == k)
+        if k == k_max:
+            break
+        nxt: dict[GroupElement, None] = {}
+        for elem in frontier:
+            for t in factors:
+                nxt[elem * t] = None
+            if len(nxt) > cap:
+                return NormInterval(lower, math.inf, False)
+        frontier = nxt
+    return NormInterval(lower, math.inf, False)
+
+
 def conjugate_product_search(
     ctx: "GroupContext",
     g: GroupElement,
@@ -388,47 +425,12 @@ def conjugate_product_search(
     if ctx.generators.kind != "normal-closure":
         raise NormError("conjugate_product_search requires a normal-closure context")
     lower = _abelianisation_lower_bound(ctx, g)
-    if ctx.family == "free" and _is_standard_free_closure(ctx):
+    if ctx.family == "free" and ctx._standard:
         lower = max(lower, cancellation_norm(g))
     if g.is_identity():
         return NormInterval.exact_value(0)
     conjugates = enumerate_conjugates(ctx, conj_len_max)
-    conjugate_set = set(conjugates)
-    frontier: dict[GroupElement, None] = {ctx.identity(): None}
-    for k in range(1, k_max + 1):
-        # membership at level k via one lookup per frontier element:
-        # g in frontier * T  <=>  e^-1 g in T for some e
-        for elem in frontier:
-            if elem.inverse() * g in conjugate_set:
-                if lower > k:
-                    raise NormError(
-                        f"lower bound {lower} exceeds found product length {k}"
-                    )
-                return NormInterval(lower, k, lower == k)
-        if k == k_max:
-            break
-        nxt: dict[GroupElement, None] = {}
-        for elem in frontier:
-            for t in conjugates:
-                cand = elem * t
-                if cand not in nxt:
-                    nxt[cand] = None
-            if len(nxt) > ctx.memory_cap:
-                return NormInterval(lower, math.inf, False)
-        frontier = nxt
-    return NormInterval(lower, math.inf, False)
-
-
-def _is_standard_free_closure(ctx: "GroupContext") -> bool:
-    if ctx.family != "free" or ctx.generators.kind != "normal-closure":
-        return False
-    want = {FreeWord.generator(ctx.rank, i, sign).encode()
-            for i in range(1, ctx.rank + 1) for sign in (1, -1)}
-    have = set()
-    for s in ctx.generators.elements:
-        for t in (s, s.inverse()):
-            have.add(t.encode())
-    return have == want
+    return _product_search(g, conjugates, ctx.identity(), k_max, ctx.memory_cap, lower)
 
 
 def in_commutator_subgroup(w: FreeWord) -> bool:
@@ -439,8 +441,8 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
     """Interval bounds for the commutator length of w in [F, F].
 
     Upper bound by bounded search over products of <= k_max commutators
-    [u, v] with |u|, |v| <= conj_len_max; lower bound 1 for nontrivial w.
-    Exact only when the bounds meet.
+    [u, v] with |u|, |v| <= conj_len_max (at most 2,000,000 products per
+    level); lower bound 1 for nontrivial w.  Exact only when the bounds meet.
     """
     if not isinstance(w, FreeWord):
         raise FamilyMismatchError("commutator length is defined on free words")
@@ -455,31 +457,8 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
             c = commutator(u, v)
             if not c.is_identity():
                 comms.setdefault(c.encode(), c)
-    commutator_set = {k: v for k, v in sorted(comms.items())}
-    if w.encode() in commutator_set:
-        return NormInterval.exact_value(1)
-    if k_max >= 2:
-        # meet in the middle: w = c1 * c2  <=>  c1^-1 w in the set
-        for c1 in commutator_set.values():
-            if (c1.inverse() * w).encode() in commutator_set:
-                return NormInterval(1, 2, False)
-    if k_max >= 3:
-        frontier = {c.encode(): c for c in commutator_set.values()}
-        for k in range(3, k_max + 1):
-            nxt: dict[str, FreeWord] = {}
-            for e in frontier.values():
-                for c in commutator_set.values():
-                    prod = e * c
-                    key = prod.encode()
-                    if key not in nxt:
-                        nxt[key] = prod
-                if len(nxt) > 2_000_000:
-                    return NormInterval(1, math.inf, False)
-            for e in nxt.values():
-                if (e.inverse() * w).encode() in commutator_set:
-                    return NormInterval(1, k, False)
-            frontier = nxt
-    return NormInterval(1, math.inf, False)
+    commutators = [comms[k] for k in sorted(comms)]
+    return _product_search(w, commutators, w.identity(), k_max, 2_000_000, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +504,18 @@ class GroupContext:
     _norm_memo: dict[tuple[int, ...], NormInterval] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _standard: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "transposition-closed-form" and self.family != "perm":
             raise ValueError("transposition backend needs the perm family")
+        self._standard = _is_standard_closure(self)
         if self.backend == "cancellation-dp":
             if self.family != "free":
                 raise ValueError("the cancellation DP is restricted to free-group contexts")
-            if not _is_standard_free_closure(self):
+            if not self._standard:
                 raise ValueError(
                     "the cancellation DP evaluates the normal closure of the free "
                     "generators; use bounded-search for other closures"
@@ -609,7 +590,7 @@ class GroupContext:
         if self.backend == "bfs":
             return bfs_word_norm(self, g, self.bfs_max_radius)
         if self.backend == "bounded-search":
-            if self.family == "heisenberg" and self._is_standard_heisenberg_closure():
+            if self.family == "heisenberg" and self._standard:
                 interval, _ = heisenberg_conjugacy_norm(g)
                 return interval
             return conjugate_product_search(self, g, self.search_k_max, self.search_conj_len)
@@ -627,20 +608,23 @@ class GroupContext:
             self._norm_memo[key] = interval
         return interval
 
-    def _is_standard_heisenberg_closure(self) -> bool:
-        if self.generators.kind != "normal-closure":
-            return False
-        encs = set()
-        for s in self.generators.elements:
-            for t in (s, s.inverse()):
-                encs.add(t.encode())
-        return encs == {"H(1,0,0)", "H(-1,0,0)", "H(0,1,0)", "H(0,-1,0)"}
-
     def norm_exact(self, g: GroupElement):
         return self.norm(g).require_exact()
 
     def dist(self, g: GroupElement, h: GroupElement):
         return self.norm_exact(g * h.inverse())
+
+    def power_norms(self, g: GroupElement, window: int) -> Iterator[tuple[int, GroupElement, Any]]:
+        """Lazily yield (n, g^n, ||g^n||) for n = 1..window, one product per
+        step; stops after the first power equal to the identity, whose norm
+        is 0 without an evaluation."""
+        power = g.identity()
+        for n in range(1, window + 1):
+            power = power * g
+            if power.is_identity():
+                yield n, power, 0
+                return
+            yield n, power, self.norm_exact(power)
 
     def generator_sample(self, seed: int, count: int) -> list[GroupElement]:
         """Sampleable generators: the explicit list, class representatives
@@ -682,28 +666,25 @@ class GroupContext:
 
 
 def integer_line_context(**kw) -> GroupContext:
-    return GroupContext("lattice", standard_lattice_generators(1), "l1", dim=1, **kw)
+    return lattice_context(1, **kw)
 
 
 def lattice_context(dim: int, **kw) -> GroupContext:
-    return GroupContext("lattice", standard_lattice_generators(dim), "l1", dim=dim, **kw)
+    return GroupContext("lattice", standard_generators("lattice", dim=dim), "l1", dim=dim, **kw)
 
 
 def free_cancellation_context(rank: int = 2, **kw) -> GroupContext:
-    gens = GeneratingSet.normal_closure(
-        tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
-    )
+    gens = standard_generators("free", rank=rank)
     return GroupContext("free", gens, "cancellation-dp", rank=rank, **kw)
 
 
 def symmetric_transposition_context(degree: int = 5, **kw) -> GroupContext:
-    gens = GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
+    gens = standard_generators("perm")
     return GroupContext("perm", gens, "transposition-closed-form", degree=degree, **kw)
 
 
 def heisenberg_context(**kw) -> GroupContext:
-    gens = GeneratingSet.normal_closure((HEISENBERG_A, HEISENBERG_B))
-    return GroupContext("heisenberg", gens, "bounded-search", **kw)
+    return GroupContext("heisenberg", standard_generators("heisenberg"), "bounded-search", **kw)
 
 
 def commutator_length_context(rank: int = 2, **kw) -> GroupContext:

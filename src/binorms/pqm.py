@@ -205,29 +205,17 @@ def scheme_limit(scheme: LimitScheme, values: Sequence) -> tuple:
     return estimate, lo, hi, converged
 
 
-def _power_walk(g: GroupElement, indices: Sequence[int]) -> list[GroupElement]:
-    """Powers g^n for increasing n, computed incrementally."""
-    out = []
-    cur = g.identity()
-    prev = 0
-    steps: dict[int, GroupElement] = {}
-    for n in indices:
-        delta = n - prev
-        step = steps.get(delta)
-        if step is None:
-            step = g ** delta
-            steps[delta] = step
-        cur = cur * step
-        prev = n
-        out.append(cur)
-    return out
-
-
 def homogenise(f: PqmHandle | Callable, g: GroupElement, scheme: LimitScheme) -> HomogenisationResult:
     """Estimate lim f(g^n)/n along the scheme, as :func:`scheme_limit`
-    reads the ratios f(g^n)/n at the scheme's indices."""
+    reads the ratios f(g^n)/n at the scheme's indices (n = k, 2k, ...,
+    walked one product by g^k at a time)."""
     indices = scheme.indices()
-    values = [_ratio(f(p), n) for n, p in zip(indices, _power_walk(g, indices))]
+    step = g ** scheme.k
+    power = g.identity()
+    values = []
+    for n in indices:
+        power = power * step
+        values.append(_ratio(f(power), n))
     return HomogenisationResult(
         *scheme_limit(scheme, values), scheme, tuple(indices), tuple(values),
     )
@@ -269,13 +257,7 @@ class SupremumEstimate:
     zero_min_violations: int = 0
 
 
-def _resolve_pairs(pair_sampler, n_samples: int):
-    if callable(pair_sampler):
-        return pair_sampler(n_samples)
-    return list(pair_sampler)
-
-
-def defect_estimate(f: PqmHandle, pair_sampler, n_samples: int | None = None,
+def defect_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupElement]],
                     seed: int | None = None) -> SupremumEstimate:
     """D-hat = max |f(g) - f(gh) + f(h)| / min(||g||, ||h||) over the sample.
 
@@ -283,7 +265,6 @@ def defect_estimate(f: PqmHandle, pair_sampler, n_samples: int | None = None,
     coboundary is forced to equal f(1) and is checked to vanish separately.
     Requires exact norms on all sampled elements.
     """
-    pairs = _resolve_pairs(pair_sampler, n_samples)
     ctx = f.ctx
     best = Fraction(0)
     witness = None
@@ -328,10 +309,9 @@ def _exact_div(a, b):
     return float(a) / float(b)
 
 
-def lipschitz_estimate(f: PqmHandle, pair_sampler, n_samples: int | None = None,
+def lipschitz_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupElement]],
                        seed: int | None = None) -> SupremumEstimate:
     """C-hat = max |f(g) - f(h)| / d(g, h) over sampled distinct pairs."""
-    pairs = _resolve_pairs(pair_sampler, n_samples)
     ctx = f.ctx
     best = Fraction(0)
     witness = None
@@ -584,17 +564,12 @@ class McShaneExtension:
         self.window = window
         self.powers: dict[int, GroupElement] = {0: ctx.identity()}
         self.norms: dict[int, Fraction] = {}
-        fwd = ctx.identity()
-        bwd = ctx.identity()
-        ginv = g.inverse()
-        for n in range(1, window + 1):
-            fwd = fwd * g
-            bwd = bwd * ginv
-            if fwd.is_identity():
+        for n, power, norm in ctx.power_norms(g, window):
+            if power.is_identity():
                 raise FiniteOrderError(f"{g.encode()} has order {n} <= window")
-            self.powers[n] = fwd
-            self.powers[-n] = bwd
-            norm = Fraction(ctx.norm_exact(fwd))
+            self.powers[n] = power
+            self.powers[-n] = power.inverse()
+            norm = Fraction(norm)
             self.norms[n] = norm
             if norm < self.c * n:
                 raise WindowCertificateError(
@@ -672,20 +647,10 @@ def detect_undistorted(
     if window < 2:
         raise ValueError("window must be >= 2")
     trace = []
-    c_est = None
-    cur = ctx.identity()
-    finite_order = False
-    for n in range(1, window + 1):
-        cur = cur * g
-        if cur.is_identity():
-            finite_order = True
-            trace.append((n, 0, Fraction(0)))
-            c_est = Fraction(0)
-            break
-        norm = ctx.norm_exact(cur)
-        ratio = Fraction(norm, n) if isinstance(norm, int) else Fraction(norm) / n
-        trace.append((n, norm, ratio))
-        c_est = ratio if c_est is None else min(c_est, ratio)
+    for n, power, norm in ctx.power_norms(g, window):
+        trace.append((n, norm, Fraction(norm) / n))
+    finite_order = power.is_identity()
+    c_est = min(ratio for _, _, ratio in trace)
     norm_g = trace[0][1]
     threshold = max(abs_threshold, rel_threshold * float(norm_g))
     if finite_order or float(c_est) <= threshold:

@@ -1,10 +1,9 @@
 """Report rows and their CSV/JSON serialisation.
 
-Two schemas share the formatting helpers: measurement reports from the
-pqm/cone modules (context-id, function-id, quantity, value, witness, seed,
-window, scheme, and for cone reports a per-index trace file), and the CLI
-batch rows.  CSV and JSON mirrors carry identical field names and string
-values, so the two formats are field-for-field comparable.
+The CLI emits one row schema, ``CLI_REPORT_COLUMNS``, plus per-index
+trace files of ``index,norm,ratio`` rows.  CSV and JSON mirrors carry
+identical field names and string values, so the two formats are
+field-for-field comparable.
 """
 
 from __future__ import annotations
@@ -16,19 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-PQM_REPORT_COLUMNS = (
-    "context_id",
-    "function_id",
-    "quantity",
-    "value",
-    "witness",
-    "seed",
-    "window",
-    "scheme",
-)
-
-CONE_REPORT_COLUMNS = PQM_REPORT_COLUMNS + ("trace_file",)
 
 CLI_REPORT_COLUMNS = (
     "context_id",
@@ -137,28 +123,3 @@ def write_trace(path: str, rows: Sequence[tuple]) -> None:
         for index, norm, ratio in rows:
             writer.writerow([index, format_number(norm), format_number(ratio)])
 
-
-def measurement_row(
-    context_id: str,
-    function_id: str,
-    quantity: str,
-    value,
-    witness: str = "",
-    seed=None,
-    window=None,
-    scheme: str = "",
-    trace_file: str | None = None,
-) -> dict[str, str]:
-    row = {
-        "context_id": context_id,
-        "function_id": function_id,
-        "quantity": quantity,
-        "value": format_number(value),
-        "witness": witness,
-        "seed": format_number(seed),
-        "window": format_number(window),
-        "scheme": scheme,
-    }
-    if trace_file is not None:
-        row["trace_file"] = trace_file
-    return row

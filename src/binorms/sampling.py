@@ -9,7 +9,7 @@ methods used here).
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable
 
 from .groups import FreeWord, GroupElement, Heisenberg, LatticeVector, Permutation
 
@@ -77,15 +77,6 @@ def sample_pairs(draw: Callable, seed: int, count: int) -> list[tuple[GroupEleme
     return [(draw(rng), draw(rng)) for _ in range(count)]
 
 
-def pair_sampler(draw: Callable, seed: int) -> Callable[[int], list[tuple[GroupElement, GroupElement]]]:
-    """Spec-shaped sampler: call with n_samples, get a reproducible pair list."""
-
-    def sampler(n_samples: int) -> list[tuple[GroupElement, GroupElement]]:
-        return sample_pairs(draw, seed, n_samples)
-
-    return sampler
-
-
 def all_reduced_words(rank: int, max_len: int) -> list[FreeWord]:
     """Every reduced word of length <= max_len, in deterministic order."""
     words: list[FreeWord] = [FreeWord(rank, ())]
@@ -108,8 +99,3 @@ def all_permutations(degree: int) -> list[Permutation]:
         out.append(Permutation({p: q for p, q in zip(points, images)}))
     return out
 
-
-def seeded(seq: Sequence, seed: int, count: int) -> list:
-    """Deterministic sample (with replacement) from a fixed sequence."""
-    rng = random.Random(seed)
-    return [seq[rng.randrange(len(seq))] for _ in range(count)]

@@ -17,6 +17,13 @@ from binorms.cli import (
     run_job,
     run_jobfile,
 )
+from binorms.norms import (
+    commutator_length_context,
+    free_cancellation_context,
+    heisenberg_context,
+    lattice_context,
+    symmetric_transposition_context,
+)
 from binorms.reports import EmitError, emit, format_number
 
 MINIMAL = """
@@ -106,6 +113,26 @@ class TestTaskRegistry:
             with pytest.raises(JobSpecError) as exc:
                 parse_jobspec(self._job_text(name, {key: value}))
             assert any(f".{key}: unknown key" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("name, extra", [
+        ("translation-length", {"element": "[1,0]"}),
+        ("cone-norm", {"element": "[1,0]"}),
+        ("cone-dist", {"element": "[1,0]", "element2": "[0,1]"}),
+        ("pullback", {"functional": "coord:0", "samples": "3"}),
+        ("walk", {"walk": "alternating"}),
+    ])
+    def test_scheme_is_checked_over_the_job_window(self, name, extra):
+        assert parse_jobspec(self._job_text(name, {**extra, "window": "8"})).task == name
+        for more in ({"window": "4"}, {"window": "7", "scheme": "cesaro"}):
+            with pytest.raises(JobSpecError) as exc:
+                parse_jobspec(self._job_text(name, {**extra, **more}))
+            assert exc.value.errors == [
+                "job[0].scheme: scheme window must be >= 8 (line 1)"
+            ]
+
+    def test_detect_keeps_small_windows_for_run_time(self):
+        job = parse_jobspec(self._job_text("detect", {"element": "[1,0]", "window": "4"}))
+        assert run_job(job).rows[0].value == "E_VALUE"
 
     @pytest.mark.parametrize("name, extra, window, scheme", [
         ("translation-length", {"element": "[1,0]"}, "64", "plain:64"),
@@ -283,6 +310,10 @@ class TestMainEntry:
         code = main(["run", "--spec", str(spec)])
         assert code == 2
         assert "windwo" in capsys.readouterr().err
+        code = main(["cone-norm", "--family", "lattice", "--element", "[1,2]", "--window", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "scheme window must be >= 8" in captured.err
 
     def test_error_rows_exit_one(self, tmp_path):
         spec = tmp_path / "err.spec"
@@ -310,14 +341,20 @@ job {
   window = 8
 }
 """, encoding="utf-8")
-        out = tmp_path / "cone.csv"
-        code = main(["run", "--spec", str(spec), "--out", str(out), "--reproducible"])
-        assert code == 0
-        trace = tmp_path / "cone.csv.trace0.csv"
-        assert trace.exists()
-        rows = list(csv.DictReader(trace.open()))
-        assert rows[0] == {"index": "1", "norm": "2", "ratio": "2"}
-        assert len(rows) == 8
+        # a job file and the matching subcommand write the same trace
+        for name, argv in [
+            ("run", ["run", "--spec", str(spec)]),
+            ("sub", ["cone-norm", "--family", "lattice", "--element", "[1,1]"]),
+        ]:
+            out = tmp_path / f"{name}.csv"
+            code = main([*argv, "--out", str(out), "--reproducible"])
+            assert code == 0
+            trace = tmp_path / f"{name}.csv.trace0.csv"
+            assert trace.exists()
+            rows = list(csv.DictReader(trace.open()))
+            assert rows[0] == {"index": "1", "norm": "2", "ratio": "2"}
+            assert len(rows) == 8
+        assert (tmp_path / "run.csv").read_text() == (tmp_path / "sub.csv").read_text()
 
 
 class TestFormatNumber:
@@ -339,3 +376,13 @@ def test_build_context_defaults():
     ctx3 = build_context({"family": "lattice", "dim": "3",
                           "generators": "explicit:standard"})
     assert len(ctx3.generators.elements) == 6
+    assert ctx3 == build_context({"family": "lattice", "dim": "3"}) == lattice_context(3)
+    ready_made = {
+        "free": free_cancellation_context(2),
+        "perm": symmetric_transposition_context(5),
+        "lattice": lattice_context(2),
+        "heisenberg": heisenberg_context(),
+    }
+    for family, ctx in ready_made.items():
+        assert build_context({"family": family}) == ctx
+    assert build_context({"family": "free", "backend": "cl-bounds"}) == commutator_length_context(2)

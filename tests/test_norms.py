@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deletion_oracle
 
@@ -35,7 +37,7 @@ from binorms.norms import (
     lattice_context,
     load_norm_table,
     save_norm_table,
-    standard_lattice_generators,
+    standard_generators,
     symmetric_transposition_context,
     transposition_norm,
 )
@@ -74,17 +76,17 @@ class TestBfs:
         assert bfs_word_norm(ctx, three, 4).require_exact() == 2
 
     def test_lattice_word_norm(self):
-        ctx = GroupContext("lattice", standard_lattice_generators(2), "bfs", dim=2)
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs", dim=2)
         assert bfs_word_norm(ctx, LatticeVector((3, -2)), 8).require_exact() == 5
 
     def test_out_of_radius_interval(self):
-        ctx = GroupContext("lattice", standard_lattice_generators(2), "bfs", dim=2)
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs", dim=2)
         iv = bfs_word_norm(ctx, LatticeVector((9, 9)), 4)
         assert not iv.exact and iv.lower == 5 and iv.upper == math.inf
 
     def test_memory_cap_degrades_to_interval(self):
         # exceeding the cap must degrade gracefully, never abort
-        ctx = GroupContext("lattice", standard_lattice_generators(2), "bfs",
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs",
                            dim=2, memory_cap=10)
         iv = bfs_word_norm(ctx, LatticeVector((4, 4)), 8)
         assert not iv.exact and iv.upper == math.inf
@@ -121,6 +123,48 @@ class TestCancellationNorm:
             base = cancellation_norm(w)
             for y in all_reduced_words(2, 2):
                 assert cancellation_norm(conjugate(w, y)) == base
+
+
+# (context, element strategy): an infinite-order family with the
+# cancellation DP, a finite group, and an abelian one
+POWER_CASES = {
+    "free": (
+        free_cancellation_context(2),
+        st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1))), max_size=5)
+        .map(lambda letters: FreeWord(2, letters)),
+    ),
+    "perm": (
+        symmetric_transposition_context(4),
+        st.permutations(range(1, 5)).map(lambda images: Permutation(dict(zip(range(1, 5), images)))),
+    ),
+    "lattice": (
+        lattice_context(2),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(LatticeVector),
+    ),
+}
+
+
+class TestPowerNorms:
+    @pytest.mark.parametrize("family", sorted(POWER_CASES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), window=st.integers(1, 10))
+    def test_yields_each_power_and_its_norm_until_the_identity(self, family, data, window):
+        ctx, elements = POWER_CASES[family]
+        g = data.draw(elements)
+        expected = []
+        for n in range(1, window + 1):
+            expected.append((n, g ** n, ctx.norm_exact(g ** n)))
+            if (g ** n).is_identity():
+                break
+        assert list(ctx.power_norms(g, window)) == expected
+
+    def test_evaluates_a_norm_only_when_its_power_is_reached(self, monkeypatch):
+        ctx = free_cancellation_context(2)
+        seen = []
+        monkeypatch.setattr(ctx, "norm_exact", lambda g: seen.append(g) or 1)
+        walk = ctx.power_norms(A * B, 100)
+        assert next(walk) == (1, A * B, 1) and next(walk)[0] == 2
+        assert seen == [A * B, (A * B) ** 2]
 
 
 class TestNormMemo:
@@ -177,7 +221,7 @@ class TestL1:
         assert l1_norm([0.5, -0.25]) == 0.75
 
     def test_agrees_with_bfs_small_box(self):
-        ctx = GroupContext("lattice", standard_lattice_generators(2), "bfs", dim=2)
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs", dim=2)
         for x in range(-4, 5):
             for y in range(-4, 5):
                 v = LatticeVector((x, y))

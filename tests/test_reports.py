@@ -1,57 +1,21 @@
-import csv
-import io
-import json
-
 from binorms.groups import FreeWord
 from binorms.norms import free_cancellation_context
 from binorms.pqm import brooks_qm, defect_estimate
-from binorms.reports import (
-    CONE_REPORT_COLUMNS,
-    PQM_REPORT_COLUMNS,
-    measurement_row,
-    rows_to_csv,
-    rows_to_json,
-)
 from binorms.sampling import all_reduced_words
 
 A = FreeWord.generator(2, 1)
 B = FreeWord.generator(2, 2)
 
 
-def _measurement_rows():
+def _defect_of_brooks_ab():
     ctx = free_cancellation_context(2)
-    h_ab = brooks_qm(A * B, ctx)
     words = all_reduced_words(2, 3)
-    est = defect_estimate(h_ab, [(g, h) for g in words for h in words], seed=5)
-    return [
-        measurement_row(
-            ctx.describe(), h_ab.name, est.quantity, est.value,
-            witness=";".join(est.witness), seed=5, window=0, scheme="",
-        )
-    ]
-
-
-def test_pqm_report_csv_json_mirror():
-    rows = _measurement_rows()
-    csv_text = rows_to_csv(rows, PQM_REPORT_COLUMNS)
-    json_text = rows_to_json(rows, PQM_REPORT_COLUMNS)
-    parsed_csv = list(csv.DictReader(io.StringIO(csv_text)))
-    parsed_json = json.loads(json_text)
-    assert parsed_csv[0] == parsed_json[0]
-    assert list(parsed_json[0].keys()) == list(PQM_REPORT_COLUMNS)
-
-
-def test_cone_report_carries_trace_column():
-    row = measurement_row("ctx", "norm", "cone-norm", 2.0,
-                          window=8, scheme="plain:8", trace_file="run.trace0.csv")
-    text = rows_to_csv([row], CONE_REPORT_COLUMNS)
-    parsed = list(csv.DictReader(io.StringIO(text)))[0]
-    assert parsed["trace_file"] == "run.trace0.csv"
-    assert list(parsed.keys()) == list(CONE_REPORT_COLUMNS)
+    return defect_estimate(brooks_qm(A * B, ctx), [(g, h) for g in words for h in words], seed=5)
 
 
 def test_measurement_reproducibility():
     # re-running the same seeded sample reproduces the measured constants
-    first = _measurement_rows()
-    second = _measurement_rows()
+    first = _defect_of_brooks_ab()
+    second = _defect_of_brooks_ab()
     assert first == second
+    assert first.witness is not None and first.seed == 5
