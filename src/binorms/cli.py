@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Sequence
 from . import cone as cone_mod
 from . import pqm as pqm_mod
 from .groups import EncodingError, FamilyMismatchError, FreeWord, LatticeVector, decode
-from .norms import GeneratingSet, GroupContext, InexactNormError, NormError, standard_generators
+from .norms import (SIZE_KEYS, GeneratingSet, GroupContext, InexactNormError, NormError,
+                    standard_generators)
 from .pqm import (
     FeketeHypothesisError,
     FiniteOrderError,
@@ -137,7 +138,12 @@ class Task(NamedTuple):
 
 def parse_jobfile(text: str) -> tuple[list[JobSpec], list[str]]:
     """Parse a whole job file; returns (jobs, errors) with every error found."""
-    jobs: list[JobSpec] = []
+    return _validate_blocks(*_read_blocks(text))
+
+
+def _read_blocks(text: str) -> tuple[list[tuple[dict[str, str], int]], list[str]]:
+    """The file's job blocks as (entries, opening line), and its syntax errors."""
+    blocks: list[tuple[dict[str, str], int]] = []
     errors: list[str] = []
     current: dict[str, str] | None = None
     current_line = 0
@@ -155,10 +161,7 @@ def parse_jobfile(text: str) -> tuple[list[JobSpec], list[str]]:
             if current is None:
                 errors.append(f"line {lineno}: stray closing brace")
                 continue
-            job, job_errors = _validate_job(current, current_line, len(jobs))
-            errors.extend(job_errors)
-            if job is not None:
-                jobs.append(job)
+            blocks.append((current, current_line))
             current = None
             continue
         if current is None:
@@ -175,6 +178,19 @@ def parse_jobfile(text: str) -> tuple[list[JobSpec], list[str]]:
         current[key] = value
     if current is not None:
         errors.append(f"line {current_line}: unterminated job block")
+    return blocks, errors
+
+
+def _validate_blocks(blocks: list[tuple[dict[str, str], int]],
+                     errors: list[str]) -> tuple[list[JobSpec], list[str]]:
+    """Validate the blocks in file order (``job[k]`` is the k-th block),
+    adding their errors to ``errors``."""
+    jobs: list[JobSpec] = []
+    for index, (params, line) in enumerate(blocks):
+        job, job_errors = _validate_job(params, line, index)
+        errors.extend(job_errors)
+        if job is not None:
+            jobs.append(job)
     return jobs, errors
 
 
@@ -188,11 +204,14 @@ def _validate_job(params: dict[str, str], line: int, index: int) -> tuple[JobSpe
     if task is None:
         return None, [f"{path}.task: unknown task {name!r} (line {line})"]
     keys = task.keys
+    family = params.get("family")
     for key, value in params.items():
         if key == "task":
             continue
         if key not in keys:
             errors.append(f"{path}.{key}: unknown key for task {name!r} (line {line})")
+        elif key in SIZE_KEYS.values() and family in SIZE_KEYS and key != SIZE_KEYS[family]:
+            errors.append(f"{path}.{key}: unknown key for family {family!r} (line {line})")
         elif KEYS[key].type is int:
             try:
                 int(value)
@@ -323,12 +342,12 @@ class JobResult:
         return any(r.quantity == "error" for r in self.rows)
 
 
-def run_job(spec: JobSpec, seed_override: int | None = None) -> JobResult:
+def run_job(spec: JobSpec) -> JobResult:
     """Execute one validated job; backend errors become error rows with a
     stable machine-readable code."""
     start = time.perf_counter()
     try:
-        result = _dispatch(spec, seed_override)
+        result = _dispatch(spec)
     except Exception as exc:  # noqa: BLE001 - rendered as a typed error row
         code = next((c for klass, c in ERROR_CODES if isinstance(exc, klass)), "E_INTERNAL")
         result = JobResult([ReportRow(
@@ -389,9 +408,9 @@ def _limit_fields(quantity: str, res, window: int, scheme: str) -> dict:
     )
 
 
-def _dispatch(spec: JobSpec, seed_override: int | None) -> JobResult:
+def _dispatch(spec: JobSpec) -> JobResult:
     task = TASKS[spec.task]
-    seed = seed_override if seed_override is not None else int(spec.params.get("seed", DEFAULT_SEED))
+    seed = int(spec.params.get("seed", DEFAULT_SEED))
     ctx = build_context(spec.params) if task.context else None
     rows, traces = task.run(spec, ctx, seed)
     common = dict(
@@ -572,30 +591,30 @@ def run_jobfile(
     window_override: int | None = None,
     scheme_override: str | None = None,
 ) -> tuple[int, str]:
-    """Run every job in the file; returns (exit_code, serialized report)."""
-    jobs, errors = parse_jobfile(text)
+    """Run every job in the file; returns (exit_code, serialized report).
+    Each override replaces the key in every job whose task reads it, before
+    validation, so it is checked like a value from the file."""
+    blocks, errors = _read_blocks(text)
+    overrides = {"seed": seed_override, "window": window_override, "scheme": scheme_override}
+    for params, _ in blocks:
+        keys = TASKS[params["task"]].keys if params.get("task") in TASKS else ()
+        params.update((k, str(v)) for k, v in overrides.items() if v is not None and k in keys)
+    jobs, errors = _validate_blocks(blocks, errors)
     if errors:
         raise JobSpecError(errors)
     if not jobs:
         raise JobSpecError(["job file contains no jobs"])
-    for job in jobs:
-        task = TASKS[job.task]
-        if window_override is not None and task.window is not None:
-            job.params["window"] = str(window_override)
-        if scheme_override is not None and task.scheme is not None:
-            job.params["scheme"] = scheme_override
-    return run_jobs(jobs, out, fmt, seed_override, reproducible)
+    return run_jobs(jobs, out, fmt, reproducible)
 
 
-def run_jobs(jobs: Sequence[JobSpec], out: str, fmt: str, seed_override: int | None,
-             reproducible: bool) -> tuple[int, str]:
+def run_jobs(jobs: Sequence[JobSpec], out: str, fmt: str, reproducible: bool) -> tuple[int, str]:
     """Run validated jobs in order and emit one report, with each trace as
     ``<out>.trace<k>.csv``; returns (exit_code, serialized report)."""
     all_rows: list[dict] = []
     failed = False
     trace_index = 0
     for job in jobs:
-        result = run_job(job, seed_override)
+        result = run_job(job)
         failed = failed or result.failed
         for label, trace_rows in result.traces:
             # trace file names derive from the output path and job order,
@@ -660,7 +679,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             job, errors = _validate_job(params, 0, 0)
             if errors:
                 raise JobSpecError(errors)
-            code, rendered = run_jobs([job], args.out, args.format, None, args.reproducible)
+            code, rendered = run_jobs([job], args.out, args.format, args.reproducible)
     except JobSpecError as exc:
         for e in exc.errors:
             print(f"spec error: {e}", file=sys.stderr)

@@ -24,7 +24,7 @@ from .pqm import (
     DEFAULT_TOLERANCE,
     LimitScheme,
     PqmHandle,
-    _ratio,
+    _exact_div,
     scheme_limit,
 )
 
@@ -149,7 +149,7 @@ def _scheme_estimate(scheme: LimitScheme, values: list, indices: Sequence[int]) 
 def cone_norm(p: ConePoint, scheme: LimitScheme) -> ConeEstimate:
     """Scheme-limit of ||g_n|| / n."""
     indices = scheme.indices()
-    values = [_ratio(p.norm_at(n), n) for n in indices]
+    values = [_exact_div(p.norm_at(n), n) for n in indices]
     return _scheme_estimate(scheme, values, indices)
 
 
@@ -190,7 +190,7 @@ def lift_function(
             raise LinearBoundError(
                 f"|{f.name}({p.label}({n}))| = {v} exceeds C*L*n = {cap * n}"
             )
-        values.append(_ratio(v, n))
+        values.append(_exact_div(v, n))
     return _scheme_estimate(scheme, values, indices)
 
 

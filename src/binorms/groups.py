@@ -498,9 +498,6 @@ HEISENBERG_B = Heisenberg(0, 1, 0)
 # ---------------------------------------------------------------------------
 # decoding dispatch
 
-FAMILIES = ("free", "perm", "lattice", "heisenberg")
-
-
 def decode(family: str, text: str, rank: int | None = None) -> GroupElement:
     """Parse a canonical encoding; ``rank`` is required for free words."""
     if family == "free":

@@ -106,10 +106,6 @@ class GeneratingSet:
                 raise ValueError("explicit generating set must be inverse-closed")
 
     @classmethod
-    def explicit(cls, elements: Iterable[GroupElement]) -> "GeneratingSet":
-        return cls("explicit", tuple(elements))
-
-    @classmethod
     def explicit_symmetrized(cls, elements: Iterable[GroupElement]) -> "GeneratingSet":
         """Close the list under inverses, deduplicated deterministically."""
         seen: dict[str, GroupElement] = {}
@@ -475,6 +471,10 @@ BACKENDS = (
 )
 
 
+# The size key each family reads (the Heisenberg group has none; its
+# contexts are labelled dim=3).
+SIZE_KEYS = {"free": "rank", "perm": "degree", "lattice": "dim", "heisenberg": None}
+
 # Entries of a context's memo of exact cancellation norms; the memo is
 # emptied when it fills.
 NORM_MEMO_CAP = 4096
@@ -561,8 +561,8 @@ class GroupContext:
             )
 
     def describe(self) -> str:
-        size = {"free": f"rank={self.rank}", "perm": f"degree={self.degree}",
-                "lattice": f"dim={self.dim}", "heisenberg": "dim=3"}[self.family]
+        key = SIZE_KEYS[self.family]
+        size = f"{key}={getattr(self, key)}" if key else "dim=3"
         return (f"family={self.family};{size};gens={self.generators.describe()};"
                 f"backend={self.backend}")
 

@@ -42,6 +42,12 @@ from .norms import GroupContext, free_cancellation_context, integer_line_context
 from .sampling import DEFAULT_SEED
 
 DEFAULT_TOLERANCE = 1e-6
+# detect_undistorted certifies growth above max(ABS, REL * ||g||)
+DETECT_REL_THRESHOLD = 0.25
+DETECT_ABS_THRESHOLD = 1e-9
+FEKETE_HYPOTHESIS_CHECKS = 400  # random pairs beyond the triangular sample
+INTEGRABILITY_DOUBLINGS = 20  # doubling intervals [2^i, 2^(i+1)] ...
+INTEGRABILITY_STEPS = 64  # ... of trapezoid steps each
 
 
 class PqmError(Exception):
@@ -174,10 +180,11 @@ class HomogenisationResult:
     values: tuple = ()
 
 
-def _ratio(value, n: int):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value, n)
-    return value / n
+def _exact_div(a, b):
+    """a / b as a Fraction when both are int or Fraction, else as a float."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return Fraction(a, b)
+    return float(a) / float(b)
 
 
 def scheme_limit(scheme: LimitScheme, values: Sequence) -> tuple:
@@ -215,7 +222,7 @@ def homogenise(f: PqmHandle | Callable, g: GroupElement, scheme: LimitScheme) ->
     values = []
     for n in indices:
         power = power * step
-        values.append(_ratio(f(power), n))
+        values.append(_exact_div(f(power), n))
     return HomogenisationResult(
         *scheme_limit(scheme, values), scheme, tuple(indices), tuple(values),
     )
@@ -301,12 +308,6 @@ def _keep_supremum(ratio, elements, best, witness):
 def _exact(value):
     """An int as it is; any other norm value as an exact Fraction."""
     return value if isinstance(value, int) else Fraction(value)
-
-
-def _exact_div(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else Fraction(a) / Fraction(b)
-    return float(a) / float(b)
 
 
 def lipschitz_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupElement]],
@@ -421,7 +422,7 @@ class SubadditiveCorrection:
     def sqrt(cls, c: float) -> "SubadditiveCorrection":
         return cls(lambda t: c * t ** 0.5, f"sqrt:{c}")
 
-    def integrability_witness(self, doublings: int = 20, steps: int = 64) -> IntegrabilityWitness:
+    def integrability_witness(self) -> IntegrabilityWitness:
         """Trapezoid estimates of the integral of phi(t)/t^2 on [1, 2^K] at
         doubling endpoints; apparent convergence needs decreasing increments
         with a last increment under 1% of the total."""
@@ -429,11 +430,11 @@ class SubadditiveCorrection:
         total = 0.0
         increments = []
         lo = 1.0
-        for _ in range(doublings):
+        for _ in range(INTEGRABILITY_DOUBLINGS):
             hi = lo * 2
-            h = (hi - lo) / steps
+            h = (hi - lo) / INTEGRABILITY_STEPS
             acc = 0.0
-            for i in range(steps):
+            for i in range(INTEGRABILITY_STEPS):
                 t0 = lo + i * h
                 t1 = t0 + h
                 acc += 0.5 * h * (self.phi(t0) / t0 ** 2 + self.phi(t1) / t1 ** 2)
@@ -466,13 +467,8 @@ def _triangular_sample(n_max: int, count: int, seed: int) -> list[tuple[int, int
     return pairs
 
 
-def fekete_limit(
-    a: Callable[[int], float],
-    phi: SubadditiveCorrection,
-    n_max: int,
-    hypothesis_checks: int = 400,
-    seed: int = DEFAULT_SEED,
-) -> HomogenisationResult:
+def fekete_limit(a: Callable[[int], float], phi: SubadditiveCorrection, n_max: int,
+                 seed: int = DEFAULT_SEED) -> HomogenisationResult:
     """Limit estimate of a(n)/n for an almost-subadditive sequence.
 
     The corrected subadditivity a(m+n) <= a(m) + a(n) + phi(m+n) is checked
@@ -481,7 +477,7 @@ def fekete_limit(
     off a(n)/n, n = 1..n_max, by :func:`scheme_limit` under the plain
     scheme, with the same two-sided tail spread as :func:`homogenise`.
     """
-    sample = _triangular_sample(n_max, hypothesis_checks, seed)
+    sample = _triangular_sample(n_max, FEKETE_HYPOTHESIS_CHECKS, seed)
     args = sorted({float(m + n) for m, n in sample})
     last = None
     for t in args:
@@ -502,7 +498,7 @@ def fekete_limit(
         if lhs > rhs + 1e-12:
             raise FeketeHypothesisError(m, n, lhs, rhs)
     scheme = LimitScheme("plain", n_max)
-    values = [_ratio(av(n), n) for n in scheme.indices()]
+    values = [_exact_div(av(n), n) for n in scheme.indices()]
     return HomogenisationResult(*scheme_limit(scheme, values), scheme,
                                 tuple(scheme.indices()), tuple(values))
 
@@ -515,11 +511,7 @@ def antisymmetrise(f: PqmHandle) -> PqmHandle:
     """f-bar(g) = (f(g) - f(g^-1)) / 2; exactly antisymmetric, idempotent."""
 
     def fn(g: GroupElement):
-        a = f(g)
-        b = f(g.inverse())
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            return (Fraction(a) - Fraction(b)) / 2
-        return (a - b) / 2.0
+        return _exact_div(f(g) - f(g.inverse()), 2)
 
     return PqmHandle(f"antisym({f.name})", fn, f.ctx, measured=None)
 
@@ -626,14 +618,8 @@ class UndistortionWitness:
     extension: McShaneExtension | None = None
 
 
-def detect_undistorted(
-    ctx: GroupContext,
-    g: GroupElement,
-    scheme: LimitScheme,
-    window: int,
-    rel_threshold: float = 0.25,
-    abs_threshold: float = 1e-9,
-) -> UndistortionWitness:
+def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
+                       window: int) -> UndistortionWitness:
     """Certify positive norm growth on a window, or report the decay trace.
 
     c_est is the window minimum of ||g^n||/n (so the extension precondition
@@ -652,7 +638,7 @@ def detect_undistorted(
     finite_order = power.is_identity()
     c_est = min(ratio for _, _, ratio in trace)
     norm_g = trace[0][1]
-    threshold = max(abs_threshold, rel_threshold * float(norm_g))
+    threshold = max(DETECT_ABS_THRESHOLD, DETECT_REL_THRESHOLD * float(norm_g))
     if finite_order or float(c_est) <= threshold:
         return UndistortionWitness(
             "distorted-or-undecided", c_est, None, None, tuple(trace), threshold, scheme,
@@ -718,36 +704,30 @@ class CommutatorWitnessList:
         return lhs, rhs
 
 
-def _h_shape_witnesses(g: GroupElement, h: GroupElement, n: int):
-    """Witnesses as conjugates of [h, x]: peel one (g, h) layer per level.
+def _witnesses(g: GroupElement, h: GroupElement, n: int, base: str):
+    """(witness, certificate) pairs of the rearrangement identity, from one
+    walk of P = gh: O(n) products for either base.
 
-    g^n h^n = g (g^{n-1} h^{n-1}) h, and g u h = (gh)^n [u, h] for
-    u = (gh)^{n-1}; [u, h] = u^-1 [h, u^-1] u gives the certified shape.
+    For j = 0..n-2 and m = n-1-j, base "h" takes x = P^-m and
+    y = P^m h^j (ascending j); base "g" takes x = P^m and
+    y = P^-m g^-(j+1) P^n (listed from j = n-2 down to 0).  Each witness
+    is y^-1 [b, x] y for its base b.
     """
-    if n == 1:
-        return []
-    u = (g * h) ** (n - 1)
-    x = u.inverse()
-    first = (conjugate(commutator(h, x), u), ShapeCertificate("h", x, u))
-    rest = [
-        (conjugate(c, h), ShapeCertificate("h", cert.x, cert.conjugator * h))
-        for c, cert in _h_shape_witnesses(g, h, n - 1)
-    ]
-    return [first] + rest
-
-
-def _g_shape_witnesses(g: GroupElement, h: GroupElement, n: int):
-    """Witnesses as conjugates of [g, x], by inverting the identity for
-    the pair (h^-1, g^-1) and conjugating back through (gh)^n."""
-    primal = _h_shape_witnesses(h.inverse(), g.inverse(), n)
-    q = (g * h) ** n
-    out = []
-    for c_prim, cert in reversed(primal):
-        x = cert.x
-        y = x.inverse() * g.inverse() * x * cert.conjugator * q
-        witness = conjugate(commutator(g, x), y)
-        out.append((witness, ShapeCertificate("g", x, y)))
-    return out
+    p = g * h
+    p_inv = p.inverse()
+    pos, neg = [g.identity()], [g.identity()]  # P^m and P^-m
+    for _ in range(n):
+        pos.append(pos[-1] * p)
+        neg.append(neg[-1] * p_inv)
+    b, step = (h, h) if base == "h" else (g, g.inverse())
+    tail = g.identity() if base == "h" else step  # h^j or g^-(j+1)
+    items = []
+    for j in range(n - 1):
+        m = n - 1 - j
+        x, y = (neg[m], pos[m] * tail) if base == "h" else (pos[m], neg[m] * tail * pos[n])
+        items.append((conjugate(commutator(b, x), y), ShapeCertificate(base, x, y)))
+        tail = tail * step
+    return items if base == "h" else items[::-1]
 
 
 def c_trick_witness(g: GroupElement, h: GroupElement, n: int, base: str = "h") -> CommutatorWitnessList:
@@ -759,7 +739,7 @@ def c_trick_witness(g: GroupElement, h: GroupElement, n: int, base: str = "h") -
         raise ValueError("n must be >= 1")
     if base not in ("g", "h"):
         raise ValueError("base must be 'g' or 'h'")
-    items = _g_shape_witnesses(g, h, n) if base == "g" else _h_shape_witnesses(g, h, n)
+    items = _witnesses(g, h, n, base)
     witnesses = tuple(c for c, _ in items)
     certificates = tuple(cert for _, cert in items)
     result = CommutatorWitnessList(g, h, n, base, witnesses, certificates)

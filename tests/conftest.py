@@ -47,3 +47,38 @@ def dense_cancellation_dp(codes) -> int:
                     best = min(best, table[i + 1][k] + table[k + 1][j + 1])
             table[i][j + 1] = best
     return table[0][length]
+
+
+def recursive_h_shape_witnesses(g, h, n):
+    """Frozen copy of the original recursive witness construction (base
+    "h"): g^n h^n = g (g^{n-1} h^{n-1}) h, and g u h = (gh)^n [u, h] for
+    u = (gh)^{n-1}; each deeper witness is conjugated by h again."""
+    from binorms.groups import commutator, conjugate
+    from binorms.pqm import ShapeCertificate
+
+    if n == 1:
+        return []
+    u = (g * h) ** (n - 1)
+    x = u.inverse()
+    first = (conjugate(commutator(h, x), u), ShapeCertificate("h", x, u))
+    rest = [
+        (conjugate(c, h), ShapeCertificate("h", cert.x, cert.conjugator * h))
+        for c, cert in recursive_h_shape_witnesses(g, h, n - 1)
+    ]
+    return [first] + rest
+
+
+def recursive_g_shape_witnesses(g, h, n):
+    """Frozen copy of the original base-"g" construction: invert the
+    identity for the pair (h^-1, g^-1) and conjugate back through (gh)^n."""
+    from binorms.groups import commutator, conjugate
+    from binorms.pqm import ShapeCertificate
+
+    primal = recursive_h_shape_witnesses(h.inverse(), g.inverse(), n)
+    q = (g * h) ** n
+    out = []
+    for _, cert in reversed(primal):
+        x = cert.x
+        y = x.inverse() * g.inverse() * x * cert.conjugator * q
+        out.append((conjugate(commutator(g, x), y), ShapeCertificate("g", x, y)))
+    return out

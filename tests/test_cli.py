@@ -130,6 +130,30 @@ class TestTaskRegistry:
                 "job[0].scheme: scheme window must be >= 8 (line 1)"
             ]
 
+    @pytest.mark.parametrize("family, key", [
+        ("free", "dim"), ("free", "degree"), ("perm", "rank"), ("perm", "dim"),
+        ("lattice", "rank"), ("lattice", "degree"), ("heisenberg", "dim"),
+        ("heisenberg", "rank"),
+    ])
+    def test_context_takes_only_its_family_size_key(self, family, key):
+        with pytest.raises(JobSpecError) as exc:
+            parse_jobspec(self._job_text("norm", {"family": family, key: "3", "element": "x"}))
+        assert exc.value.errors == [f"job[0].{key}: unknown key for family {family!r} (line 1)"]
+
+    def test_run_overrides_are_validated_like_file_values(self):
+        spec = self._job_text("norm", {"element": "[1,0]"})
+        spec += self._job_text("cone-norm", {"element": "[1,0]", "window": "16"})
+        with pytest.raises(JobSpecError) as exc:
+            run_jobfile(spec, window_override=4)
+        assert exc.value.errors == ["job[1].scheme: scheme window must be >= 8 (line 6)"]
+        with pytest.raises(JobSpecError):
+            run_jobfile(spec, scheme_override="arith:0")
+        # an override replaces the file value before the check
+        small = self._job_text("cone-norm", {"element": "[1,0]", "window": "4"})
+        code, text = run_jobfile(small, window_override=8, seed_override=5, reproducible=True)
+        row = next(csv.DictReader(io.StringIO(text)))
+        assert (code, row["window"], row["seed"]) == (0, "8", "5")
+
     def test_detect_keeps_small_windows_for_run_time(self):
         job = parse_jobspec(self._job_text("detect", {"element": "[1,0]", "window": "4"}))
         assert run_job(job).rows[0].value == "E_VALUE"
@@ -186,6 +210,21 @@ job {
 """)
         rows = run_job(job).rows
         assert rows[0].value == "1.0832794032206807"  # frozen on first computation
+
+    @pytest.mark.parametrize("context, function, defect, lipschitz", [
+        ("family = free\n  rank = 2", "norm", "2", "1"),
+        ("family = lattice\n  dim = 1", "scale:3", "0", "3"),
+    ])
+    def test_function_rows(self, context, function, defect, lipschitz):
+        # the norm has defect at most 2 and is 1-Lipschitz; n -> 3n on Z is
+        # a homomorphism with Lipschitz constant 3; the samples attain both
+        for task, value in (("defect", defect), ("lipschitz", lipschitz)):
+            job = parse_jobspec(f"job {{\n  task = {task}\n  {context}\n"
+                                f"  function = {function}\n  samples = 40\n}}\n")
+            rows = run_job(job).rows
+            assert len(rows) == 1
+            assert (rows[0].quantity, rows[0].value) == (task, value)
+            assert rows[0].inputs == f"function={function};samples=40"
 
     def test_error_rows_have_stable_codes(self):
         job = parse_jobspec("""
@@ -302,6 +341,21 @@ class TestMainEntry:
         code = main(["run", "--spec", str(spec), "--reproducible"])
         assert code == 0
         assert ",5," in capsys.readouterr().out
+
+    def test_size_key_of_another_family_exits_two(self, capsys):
+        code = main(["norm", "--family", "free", "--dim", "7", "--element", "a"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "job[0].dim: unknown key for family 'free'" in captured.err
+
+    def test_run_window_override_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "cone.spec"
+        spec.write_text("job {\n  task = cone-norm\n  family = lattice\n"
+                        "  element = [1,1]\n}\n", encoding="utf-8")
+        code = main(["run", "--spec", str(spec), "--window", "4", "--reproducible"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "job[0].scheme: scheme window must be >= 8" in captured.err
 
     def test_spec_errors_exit_two(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"

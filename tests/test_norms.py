@@ -27,6 +27,7 @@ from binorms.norms import (
     cancellation_norm,
     check_conjugation_invariance,
     commutator_length_bounds,
+    commutator_length_context,
     conjugate_product_search,
     enumerate_conjugates,
     free_cancellation_context,
@@ -295,6 +296,16 @@ class TestConjugateProductSearch:
         iv = conjugate_product_search(ctx, (A * B) ** 4, 2, 2)
         assert not iv.exact and iv.upper == math.inf and iv.lower >= 1
 
+    def test_context_norm_searches_other_closures(self):
+        # the normal closure of a alone is not the standard Heisenberg
+        # closure, so the context falls back to the bounded product search
+        ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
+                           search_k_max=2)
+        for g in (HA, HA * HA, Heisenberg(-1, 0, 3), Heisenberg(0, 0, 1), HB):
+            assert ctx.norm(g) == conjugate_product_search(ctx, g, 2, ctx.search_conj_len)
+        assert ctx.norm(Heisenberg(0, 0, 1)).require_exact() == 2
+        assert not ctx.norm(HB).exact  # b is outside the closure of a
+
     def test_permutation_class_search(self):
         gens = GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
         ctx = GroupContext("perm", gens, "bfs", degree=5)
@@ -304,6 +315,13 @@ class TestConjugateProductSearch:
 
 
 class TestCommutatorLength:
+    def test_context_norm_is_the_bounded_search(self):
+        ctx = commutator_length_context(2)
+        for w in (FreeWord(2, ()), commutator(A, B), commutator(A, B) ** 2,
+                  commutator(A, B) * commutator(B, A * A)):
+            assert ctx.norm(w) == commutator_length_bounds(w, ctx.search_k_max, 2)
+        assert not ctx.norm(commutator(A, B) ** 2).exact
+
     def test_empty_word(self):
         assert commutator_length_bounds(FreeWord(2, ()), 2, 2).require_exact() == 0
 

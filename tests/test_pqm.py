@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import recursive_g_shape_witnesses, recursive_h_shape_witnesses
 
 from binorms.groups import FreeWord, Heisenberg, LatticeVector, Permutation, commutator, conjugate
 from binorms.norms import (
@@ -418,6 +419,26 @@ class TestCTrick:
     def test_heisenberg_pair(self):
         res = c_trick_witness(Heisenberg(1, 0, 0), Heisenberg(0, 1, 0), 5)
         assert len(res.witnesses) == 4  # verified exactly in the constructor
+
+    def test_matches_the_recursive_construction(self):
+        # every pair of reduced rank-2 words of <= 2 letters and of an
+        # 18-element Heisenberg box, n = 1..6, both bases: same witnesses,
+        # same certificates, same order
+        words = list(all_reduced_words(2, 2))
+        box = [Heisenberg(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (0, 1)]
+        recursive = {"h": recursive_h_shape_witnesses, "g": recursive_g_shape_witnesses}
+        cases = 0
+        for elements in (words, box):
+            for g in elements:
+                for h in elements:
+                    for n in range(1, 7):
+                        for base, build in recursive.items():
+                            res = c_trick_witness(g, h, n, base=base)
+                            items = build(g, h, n)
+                            assert res.witnesses == tuple(c for c, _ in items)
+                            assert res.certificates == tuple(cert for _, cert in items)
+                            cases += 1
+        assert cases == 7356
 
 
 class TestBrooks:
