@@ -38,8 +38,8 @@ from typing import Callable, NamedTuple, Sequence
 from . import cone as cone_mod
 from . import pqm as pqm_mod
 from .groups import EncodingError, FamilyMismatchError, FreeWord, LatticeVector, decode
-from .norms import (SIZE_KEYS, GeneratingSet, GroupContext, InexactNormError, NormError,
-                    standard_generators)
+from .norms import (SIZE_KEYS, BudgetError, GeneratingSet, GroupContext, InexactNormError,
+                    NormError, standard_generators)
 from .pqm import (
     FeketeHypothesisError,
     FiniteOrderError,
@@ -184,41 +184,41 @@ def _read_blocks(text: str) -> tuple[list[tuple[dict[str, str], int]], list[str]
 def _validate_blocks(blocks: list[tuple[dict[str, str], int]],
                      errors: list[str]) -> tuple[list[JobSpec], list[str]]:
     """Validate the blocks in file order (``job[k]`` is the k-th block),
-    adding their errors to ``errors``."""
+    adding their errors, each with its block's line, to ``errors``."""
     jobs: list[JobSpec] = []
     for index, (params, line) in enumerate(blocks):
-        job, job_errors = _validate_job(params, line, index)
-        errors.extend(job_errors)
+        job, job_errors = _validate_job(params, index)
+        errors.extend(f"{e} (line {line})" for e in job_errors)
         if job is not None:
             jobs.append(job)
     return jobs, errors
 
 
-def _validate_job(params: dict[str, str], line: int, index: int) -> tuple[JobSpec | None, list[str]]:
+def _validate_job(params: dict[str, str], index: int) -> tuple[JobSpec | None, list[str]]:
     errors: list[str] = []
     path = f"job[{index}]"
     name = params.get("task")
     if name is None:
-        return None, [f"{path}: missing required key 'task' (line {line})"]
+        return None, [f"{path}: missing required key 'task'"]
     task = TASKS.get(name)
     if task is None:
-        return None, [f"{path}.task: unknown task {name!r} (line {line})"]
+        return None, [f"{path}.task: unknown task {name!r}"]
     keys = task.keys
     family = params.get("family")
     for key, value in params.items():
         if key == "task":
             continue
         if key not in keys:
-            errors.append(f"{path}.{key}: unknown key for task {name!r} (line {line})")
+            errors.append(f"{path}.{key}: unknown key for task {name!r}")
         elif key in SIZE_KEYS.values() and family in SIZE_KEYS and key != SIZE_KEYS[family]:
-            errors.append(f"{path}.{key}: unknown key for family {family!r} (line {line})")
+            errors.append(f"{path}.{key}: unknown key for family {family!r}")
         elif KEYS[key].type is int:
             try:
                 int(value)
             except ValueError:
-                errors.append(f"{path}.{key}: expected an integer, got {value!r} (line {line})")
+                errors.append(f"{path}.{key}: expected an integer, got {value!r}")
         elif key == "family" and value not in _DEFAULT_BACKENDS:
-            errors.append(f"{path}.family: unknown family {value!r} (line {line})")
+            errors.append(f"{path}.family: unknown family {value!r}")
     # the scheme reads the job window (a malformed one is reported above);
     # detect derives its scheme window when it runs
     if task.scheme is not None and not any(e.startswith(f"{path}.window:") for e in errors):
@@ -226,12 +226,12 @@ def _validate_job(params: dict[str, str], line: int, index: int) -> tuple[JobSpe
         try:
             LimitScheme.parse(params.get("scheme", task.scheme), window)
         except ValueError as exc:
-            errors.append(f"{path}.scheme: {exc} (line {line})")
+            errors.append(f"{path}.scheme: {exc}")
     for key in task.required:
         if key not in params:
-            errors.append(f"{path}: missing required key {key!r} for task {name!r} (line {line})")
+            errors.append(f"{path}: missing required key {key!r} for task {name!r}")
     if task.context and "family" not in params:
-        errors.append(f"{path}: missing required key 'family' (line {line})")
+        errors.append(f"{path}: missing required key 'family'")
     if errors:
         return None, errors
     return JobSpec(name, dict(params)), []
@@ -327,6 +327,7 @@ ERROR_CODES = [
     (cone_mod.LinearBoundError, "E_LINEAR_BOUND"),
     (cone_mod.ConeError, "E_CONE"),
     (PqmError, "E_PQM"),
+    (BudgetError, "E_BUDGET"),
     (NormError, "E_NORM"),
     (ValueError, "E_VALUE"),
 ]
@@ -335,7 +336,7 @@ ERROR_CODES = [
 @dataclass
 class JobResult:
     rows: list[ReportRow]
-    traces: list[tuple[str, list[tuple]]] = field(default_factory=list)  # (label, rows)
+    traces: list[list[tuple]] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
@@ -458,7 +459,7 @@ def _run_detect(spec: JobSpec, ctx: GroupContext, seed: int):
         quantity="detect", value=format_number(wit.c_est), witness=wit.verdict,
         spread="" if wit.value_at_g is None else _spread(wit.value_at_g, wit.value_at_g),
         window=str(window), scheme=scheme.describe(),
-    )], [("detect", list(wit.trace))]
+    )], [list(wit.trace)]
 
 
 def _run_extend(spec: JobSpec, ctx: GroupContext, seed: int):
@@ -505,7 +506,7 @@ def _run_cone(spec: JobSpec, ctx: GroupContext, seed: int):
         quantity=spec.task, value=format_number(est.value),
         spread=_spread(est.liminf_est, est.limsup_est),
         window=str(scheme.window), scheme=scheme.describe(),
-    )], [(spec.task, trace_rows)]
+    )], [trace_rows]
 
 
 def _run_pullback(spec: JobSpec, ctx: GroupContext, seed: int):
@@ -616,7 +617,7 @@ def run_jobs(jobs: Sequence[JobSpec], out: str, fmt: str, reproducible: bool) ->
     for job in jobs:
         result = run_job(job)
         failed = failed or result.failed
-        for label, trace_rows in result.traces:
+        for trace_rows in result.traces:
             # trace file names derive from the output path and job order,
             # so report rows stay byte-identical across output locations
             if out != "-":
@@ -676,7 +677,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 value = getattr(args, key)
                 if value is not None:
                     params[key] = str(value)
-            job, errors = _validate_job(params, 0, 0)
+            job, errors = _validate_job(params, 0)
             if errors:
                 raise JobSpecError(errors)
             code, rendered = run_jobs([job], args.out, args.format, args.reproducible)

@@ -382,16 +382,15 @@ def length_vs_word_check(
     d: int,
     n_samples: int = 1000,
     seed: int = DEFAULT_SEED,
-    box: float = 10.0,
 ) -> LengthWordReport:
-    """Check ||x|| <= ||x||_S <= ||x|| + 1 on random vectors in [-box, box]^d,
+    """Check ||x|| <= ||x||_S <= ||x|| + 1 on random vectors in [-10, 10]^d,
     with the greedy segment-subdivision construction as the oracle for the
     unit-ball word norm."""
     rng = random.Random(seed)
     violations = 0
     mismatches = 0
     for _ in range(n_samples):
-        x = [rng.uniform(-box, box) for _ in range(d)]
+        x = [rng.uniform(-10.0, 10.0) for _ in range(d)]
         length = sum(abs(c) for c in x)
         word = unit_ball_word_norm(x)
         if not (length <= word <= length + 1.0):

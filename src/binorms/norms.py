@@ -49,6 +49,10 @@ class InexactNormError(NormError):
     """Raised when an exact norm value is required but only bounds exist."""
 
 
+class BudgetError(NormError):
+    """Raised when a search would build more than the context's memory cap."""
+
+
 @dataclass(frozen=True)
 class NormInterval:
     """Certified bounds [lower, upper] for a norm value."""
@@ -66,10 +70,6 @@ class NormInterval:
     @classmethod
     def exact_value(cls, value) -> "NormInterval":
         return cls(value, value, True)
-
-    @classmethod
-    def bounds(cls, lower, upper) -> "NormInterval":
-        return cls(lower, upper, lower == upper and upper != math.inf)
 
     def require_exact(self):
         if not self.exact:
@@ -244,15 +244,16 @@ def _is_heisenberg_conjugate_generator(f: Heisenberg) -> bool:
 class BfsBall:
     """Distance table of a Cayley-graph ball, built level by level.
 
-    The frontier is expanded in canonical-encoding order so the table is
-    deterministic; construction is single-writer and reads afterwards are
-    safe to share.
+    Generators are deduplicated and sorted by encoding, and each level is
+    expanded in the order of the one before, so the table is deterministic;
+    a ball that would outgrow ``memory_cap`` elements is marked truncated.
+    Construction is single-writer and reads afterwards are safe to share.
     """
 
-    def __init__(self, generators: Sequence[GroupElement], identity: GroupElement,
+    def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
                  memory_cap: int = 500_000):
-        self.generators = sorted(generators, key=lambda e: e.encode())
-        self.identity = identity
+        self._generator_set = set(generators)
+        self.generators = sorted(self._generator_set, key=lambda e: e.encode())
         self.memory_cap = memory_cap
         self.distances: dict[GroupElement, int] = {identity: 0}
         self.radius = 0
@@ -272,26 +273,41 @@ class BfsBall:
                             return
                         self.distances[candidate] = self.radius + 1
                         nxt.append(candidate)
-            self._frontier = sorted(nxt, key=lambda e: e.encode())
+            self._frontier = nxt
             self.radius += 1
 
+    def distance(self, g: GroupElement, k_max: int) -> int | None:
+        """The least k <= k_max with g a product of k generators; None when
+        there is none, or when the cap truncated the ball first.
 
-def _conjugates(gens: Iterable[GroupElement], conjugators: Iterable[GroupElement]) -> list[GroupElement]:
-    """Every x^-1 s^±1 x, deduplicated and sorted by encoding."""
-    out: dict[str, GroupElement] = {}
-    for x in conjugators:
-        for s in gens:
-            for t in (s, s.inverse()):
-                c = conjugate(t, x)
-                out.setdefault(c.encode(), c)
-    return [out[k] for k in sorted(out)]
+        Level k is tested by lookup before it is built (g is on it iff
+        e^-1 g is a generator for some e on level k-1), so level k_max is
+        never built, and a ball already grown past k just reads its table.
+        """
+        found = self.distances.get(g)
+        if found is not None:
+            return found if found <= k_max else None
+        for k in range(self.radius + 1, k_max + 1):
+            if not self._frontier:  # the group is exhausted or the ball truncated
+                return None
+            if any(e.inverse() * g in self._generator_set for e in self._frontier):
+                return k
+            if k < k_max:
+                self.grow_to(k)
+        return None
 
 
-def enumerate_effective_generators(ctx: "GroupContext") -> list[GroupElement]:
+def _conjugates(gens: Iterable[GroupElement], conjugators: Iterable[GroupElement]) -> set[GroupElement]:
+    """Every x^-1 s^±1 x."""
+    signed = [t for s in gens for t in (s, s.inverse())]
+    return {conjugate(t, x) for x in conjugators for t in signed}
+
+
+def enumerate_effective_generators(ctx: "GroupContext") -> set[GroupElement]:
     """The finite effective generating set for BFS, or raise NormError."""
     gens = ctx.generators
     if gens.kind == "explicit":
-        return list(gens.elements)
+        return set(gens.elements)
     if gens.kind == "normal-closure":
         if ctx.family == "perm":
             # conjugates within S_degree: finite, enumerable
@@ -325,15 +341,20 @@ def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> Norm
 # bounded searches
 
 
-def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> list[GroupElement]:
+def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> set[GroupElement]:
     """Conjugated generators x^-1 s^±1 x with the conjugator x ranging over
-    a ball of radius conj_len_max in the ambient standard word metric."""
+    a ball of radius conj_len_max in the ambient standard word metric; a
+    free ball of more than ``ctx.memory_cap`` words raises BudgetError."""
     gens = ctx.generators
     if gens.kind != "normal-closure":
         raise NormError("conjugate enumeration requires a normal-closure descriptor")
     if ctx.family in ("perm", "lattice"):
         return enumerate_effective_generators(ctx)
     if ctx.family == "free":
+        # reduced words of length <= L in rank r: 1 + sum_{i<L} 2r (2r-1)^i
+        count = 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len_max))
+        if count > ctx.memory_cap:
+            raise BudgetError(f"{count} conjugators exceed memory_cap {ctx.memory_cap}")
         conjugators = all_reduced_words(ctx.rank, conj_len_max)
     elif ctx.family == "heisenberg":
         # conjugation by (p,q,r) depends only on (p,q), so the words
@@ -375,32 +396,14 @@ def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
     return 1
 
 
-def _product_search(g: GroupElement, factors: Sequence[GroupElement], identity: GroupElement,
-                    k_max: int, cap: int, lower: int) -> NormInterval:
-    """[lower, k] for the least k <= k_max with g a product of k factors;
-    [lower, inf] when there is none, or when a level outgrows ``cap``."""
-    factor_set = set(factors)
-    frontier: dict[GroupElement, None] = {identity: None}
-    for k in range(1, k_max + 1):
-        # membership at level k via one lookup per frontier element:
-        # g in frontier * T  <=>  e^-1 g in T for some e
-        for elem in frontier:
-            if elem.inverse() * g in factor_set:
-                if lower > k:
-                    raise NormError(
-                        f"lower bound {lower} exceeds found product length {k}"
-                    )
-                return NormInterval(lower, k, lower == k)
-        if k == k_max:
-            break
-        nxt: dict[GroupElement, None] = {}
-        for elem in frontier:
-            for t in factors:
-                nxt[elem * t] = None
-            if len(nxt) > cap:
-                return NormInterval(lower, math.inf, False)
-        frontier = nxt
-    return NormInterval(lower, math.inf, False)
+def _search_interval(k: int | None, lower: int) -> NormInterval:
+    """[lower, k] for a search that found g at length k, [lower, inf] for
+    one that did not."""
+    if k is None:
+        return NormInterval(lower, math.inf, False)
+    if lower > k:
+        raise NormError(f"lower bound {lower} exceeds found product length {k}")
+    return NormInterval(lower, k, lower == k)
 
 
 def conjugate_product_search(
@@ -415,8 +418,9 @@ def conjugate_product_search(
     conjugates x^-1 s^±1 x with ||x|| <= conj_len_max.  Lower bound from
     abelianisation/parity obstructions; on free contexts with the standard
     normal closure, the cancellation DP supplies the definition-level lower
-    bound.  Search-space exhaustion is reported as a non-exact interval,
-    not a failure.
+    bound.  A search that finds no product within k_max, or whose ball
+    outgrows ``ctx.memory_cap``, is reported as a non-exact interval, not a
+    failure.
     """
     if ctx.generators.kind != "normal-closure":
         raise NormError("conjugate_product_search requires a normal-closure context")
@@ -425,8 +429,8 @@ def conjugate_product_search(
         lower = max(lower, cancellation_norm(g))
     if g.is_identity():
         return NormInterval.exact_value(0)
-    conjugates = enumerate_conjugates(ctx, conj_len_max)
-    return _product_search(g, conjugates, ctx.identity(), k_max, ctx.memory_cap, lower)
+    ball = BfsBall(enumerate_conjugates(ctx, conj_len_max), ctx.identity(), ctx.memory_cap)
+    return _search_interval(ball.distance(g, k_max), lower)
 
 
 def in_commutator_subgroup(w: FreeWord) -> bool:
@@ -437,8 +441,8 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
     """Interval bounds for the commutator length of w in [F, F].
 
     Upper bound by bounded search over products of <= k_max commutators
-    [u, v] with |u|, |v| <= conj_len_max (at most 2,000,000 products per
-    level); lower bound 1 for nontrivial w.  Exact only when the bounds meet.
+    [u, v] with |u|, |v| <= conj_len_max (in a ball of at most 2,000,000
+    elements); lower bound 1 for nontrivial w.  Exact only when the bounds meet.
     """
     if not isinstance(w, FreeWord):
         raise FamilyMismatchError("commutator length is defined on free words")
@@ -447,14 +451,9 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
     if w.is_identity():
         return NormInterval.exact_value(0)
     words = all_reduced_words(w.rank, conj_len_max)
-    comms: dict[str, FreeWord] = {}
-    for u in words:
-        for v in words:
-            c = commutator(u, v)
-            if not c.is_identity():
-                comms.setdefault(c.encode(), c)
-    commutators = [comms[k] for k in sorted(comms)]
-    return _product_search(w, commutators, w.identity(), k_max, 2_000_000, 1)
+    commutators = (c for u in words for v in words if not (c := commutator(u, v)).is_identity())
+    ball = BfsBall(commutators, w.identity(), memory_cap=2_000_000)
+    return _search_interval(ball.distance(w, k_max), 1)
 
 
 # ---------------------------------------------------------------------------

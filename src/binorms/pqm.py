@@ -108,8 +108,8 @@ class PqmHandle:
         return self.fn(g)
 
 
-def norm_handle(ctx: GroupContext, name: str = "norm") -> PqmHandle:
-    return PqmHandle(name, lambda g: ctx.norm_exact(g), ctx)
+def norm_handle(ctx: GroupContext) -> PqmHandle:
+    return PqmHandle("norm", lambda g: ctx.norm_exact(g), ctx)
 
 
 def coordinate_handle(ctx: GroupContext, index: int = 0) -> PqmHandle:

@@ -12,24 +12,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
-
-CLI_REPORT_COLUMNS = (
-    "context_id",
-    "task",
-    "inputs",
-    "quantity",
-    "value",
-    "spread",
-    "exact",
-    "witness",
-    "seed",
-    "window",
-    "scheme",
-    "wall_time_ms",
-)
 
 
 def format_number(v) -> str:
@@ -75,6 +60,9 @@ class ReportRow:
         if reproducible:
             d["wall_time_ms"] = ""
         return d
+
+
+CLI_REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def rows_to_csv(rows: Sequence[dict], columns: Sequence[str]) -> str:

@@ -82,3 +82,31 @@ def recursive_g_shape_witnesses(g, h, n):
         y = x.inverse() * g.inverse() * x * cert.conjugator * q
         out.append((conjugate(commutator(g, x), y), ShapeCertificate("g", x, y)))
     return out
+
+
+def frozen_product_search(g, factors, identity, k_max, cap, lower):
+    """Frozen copy of the original bounded product search: level k is all
+    of T^k with no visited set, tested by lookup before it is built;
+    [lower, inf] when g is not found or a level outgrows ``cap``."""
+    import math
+
+    from binorms.norms import NormError, NormInterval
+
+    factor_set = set(factors)
+    frontier = {identity: None}
+    for k in range(1, k_max + 1):
+        for elem in frontier:
+            if elem.inverse() * g in factor_set:
+                if lower > k:
+                    raise NormError(f"lower bound {lower} exceeds found product length {k}")
+                return NormInterval(lower, k, lower == k)
+        if k == k_max:
+            break
+        nxt = {}
+        for elem in frontier:
+            for t in factors:
+                nxt[elem * t] = None
+            if len(nxt) > cap:
+                return NormInterval(lower, math.inf, False)
+        frontier = nxt
+    return NormInterval(lower, math.inf, False)

@@ -348,6 +348,21 @@ class TestMainEntry:
         assert code == 2 and captured.out == ""
         assert "job[0].dim: unknown key for family 'free'" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--family", "free", "--dim", "7", "--element", "a"],
+        ["cone-norm", "--family", "lattice", "--element", "[1,2]", "--window", "4"],
+    ])
+    def test_subcommand_spec_errors_name_no_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: job[0].") and "(line" not in err
+
+    def test_free_bounded_search_over_budget_is_an_error_row(self, capsys):
+        code = main(["norm", "--family", "free", "--backend", "bounded-search",
+                     "--element", "a b", "--reproducible"])
+        assert code == 1
+        assert ",error,E_BUDGET," in capsys.readouterr().out
+
     def test_run_window_override_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "cone.spec"
         spec.write_text("job {\n  task = cone-norm\n  family = lattice\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deletion_oracle
+from conftest import deletion_oracle, frozen_product_search
 
 from binorms import kernels, norms
 from binorms.groups import (
@@ -18,6 +18,8 @@ from binorms.groups import (
     conjugate,
 )
 from binorms.norms import (
+    BfsBall,
+    BudgetError,
     GeneratingSet,
     GroupContext,
     InexactNormError,
@@ -97,6 +99,38 @@ class TestBfs:
         ctx = transposition_ctx(4)
         for p in all_permutations(4):
             assert bfs_word_norm(ctx, p, 6).require_exact() == transposition_norm(p)
+
+
+Z2_UNITS = [LatticeVector(v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+Z2_BOX = [LatticeVector((x, y)) for x in range(-5, 6) for y in range(-5, 6)]
+
+
+class TestBallDistance:
+    def test_least_k_without_building_the_last_level(self):
+        ball = BfsBall(Z2_UNITS, LatticeVector((0, 0)))
+        for v in Z2_BOX:
+            expected = l1_norm(v) if l1_norm(v) <= 4 else None
+            assert ball.distance(v, 4) == expected
+        # level 4 is only ever tested by lookup
+        assert ball.radius == 3 and not ball.truncated
+
+    def test_grown_ball_reads_its_table(self):
+        ball = BfsBall(Z2_UNITS, LatticeVector((0, 0)))
+        ball.grow_to(6)
+        for v in Z2_BOX:
+            expected = l1_norm(v) if l1_norm(v) <= 3 else None
+            assert ball.distance(v, 3) == expected
+        assert ball.radius == 6
+
+    def test_truncated_ball_gives_none(self):
+        ball = BfsBall(Z2_UNITS, LatticeVector((0, 0)), memory_cap=10)
+        assert ball.distance(LatticeVector((4, 0)), 8) is None
+        assert ball.truncated and len(ball.distances) == 10
+        assert ball.distance(LatticeVector((1, 0)), 8) == 1
+
+    def test_generators_deduplicated_and_sorted(self):
+        ball = BfsBall(Z2_UNITS + Z2_UNITS[::-1], LatticeVector((0, 0)))
+        assert ball.generators == sorted(Z2_UNITS, key=lambda e: e.encode())
 
 
 class TestTranspositionNorm:
@@ -314,6 +348,43 @@ class TestConjugateProductSearch:
         assert iv.upper == 2 == transposition_norm(three)
 
 
+class TestSearchParity:
+    """The ball search gives the frozen product search's intervals wherever
+    no cap binds; the lower bounds are not searched, so the frozen search
+    takes the one the new search reports."""
+
+    def _check(self, ctx, elements, k_max, conj_len_max):
+        factors = enumerate_conjugates(ctx, conj_len_max)
+        for g in elements:
+            if not g.is_identity():
+                new = conjugate_product_search(ctx, g, k_max, conj_len_max)
+                frozen = frozen_product_search(g, factors, ctx.identity(), k_max,
+                                               ctx.memory_cap, new.lower)
+                assert new == frozen, g
+
+    @pytest.mark.parametrize("k_max", [2, 3])
+    def test_free_words(self, k_max):
+        self._check(free_cancellation_context(2), all_reduced_words(2, 2), k_max, 2)
+
+    def test_heisenberg_closure_of_a(self):
+        ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search")
+        box = [Heisenberg(x, y, z) for x in range(-2, 3) for y in range(-1, 2) for z in range(-3, 4)]
+        self._check(ctx, box, 3, 2)
+
+    def test_s4_transposition_class(self):
+        ctx = GroupContext("perm", standard_generators("perm"), "bounded-search", degree=4)
+        self._check(ctx, all_permutations(4), 3, 1)
+
+    @pytest.mark.parametrize("conj_len_max", [1, 2])
+    def test_commutator_length(self, conj_len_max):
+        short = all_reduced_words(2, conj_len_max)
+        comms = [c for u in short for v in short if not (c := commutator(u, v)).is_identity()]
+        for w in all_reduced_words(2, 6):
+            if in_commutator_subgroup(w) and not w.is_identity():
+                frozen = frozen_product_search(w, comms, w.identity(), 2, 2_000_000, 1)
+                assert commutator_length_bounds(w, 2, conj_len_max) == frozen, w
+
+
 class TestCommutatorLength:
     def test_context_norm_is_the_bounded_search(self):
         ctx = commutator_length_context(2)
@@ -399,6 +470,17 @@ def test_enumerate_conjugates_heisenberg_shape():
     conjugates = enumerate_conjugates(ctx, 3)
     for c in conjugates:
         assert (abs(c.x), abs(c.y)) in ((1, 0), (0, 1))
+
+
+def test_free_conjugators_counted_against_the_memory_cap():
+    # rank 2, length <= 5: 1 + 4 (1 + 3 + 9 + 27 + 81) = 485 conjugators
+    assert len(all_reduced_words(2, 5)) == 485
+    gens = standard_generators("free")
+    ctx = GroupContext("free", gens, "bounded-search", search_conj_len=5, memory_cap=100)
+    with pytest.raises(BudgetError, match="485 conjugators exceed memory_cap 100"):
+        ctx.norm(A)
+    fits = GroupContext("free", gens, "bounded-search", search_conj_len=5, memory_cap=485)
+    assert fits.norm(A).require_exact() == 1
 
 
 def test_norm_table_round_trip(tmp_path):
