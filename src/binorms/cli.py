@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import cone as cone_mod
 from . import pqm as pqm_mod
 from .groups import EncodingError, FamilyMismatchError, FreeWord, LatticeVector, decode
-from .norms import (SIZE_KEYS, BudgetError, GeneratingSet, GroupContext, InexactNormError,
+from .norms import (FAMILIES, BudgetError, GeneratingSet, GroupContext, InexactNormError,
                     NormError, standard_generators)
 from .pqm import (
     FeketeHypothesisError,
@@ -87,15 +87,15 @@ KEYS: dict[str, Key] = {
     "n": Key(int, input=True),
     "c": Key(input=True),
     "at": Key(help="semicolon-separated element encodings", input=True),
-    "function": Key(help="norm | brooks:<pattern> | coord:<i> | scale:<k>", input=True),
+    "function": Key(help="norm | brooks:<pattern> | coord:<i> | scale:<k> | walk:<kind>", input=True),
     "functional": Key(help="cone-norm | coord:<i>", input=True),
     "walk": Key(help="alternating | all-up | doubling-blocks", input=True),
     "sequence": Key(help="linear:<a> | halfceil | sqrt-drift:<a>", input=True),
     "phi": Key(help="zero | const:<d> | sqrt:<c>", input=True),
-    "samples": Key(int, input=True),
+    "samples": Key(int, help="at least 1", input=True),
     "maxlen": Key(int),
     "base": Key(help="g | h"),
-    "family": Key(help="free | perm | lattice | heisenberg"),
+    "family": Key(help=" | ".join(FAMILIES)),
     "rank": Key(int),
     "dim": Key(int),
     "degree": Key(int),
@@ -210,14 +210,16 @@ def _validate_job(params: dict[str, str], index: int) -> tuple[JobSpec | None, l
             continue
         if key not in keys:
             errors.append(f"{path}.{key}: unknown key for task {name!r}")
-        elif key in SIZE_KEYS.values() and family in SIZE_KEYS and key != SIZE_KEYS[family]:
+        elif (family in FAMILIES and key != FAMILIES[family].size_key
+              and key in {f.size_key for f in FAMILIES.values()}):
             errors.append(f"{path}.{key}: unknown key for family {family!r}")
         elif KEYS[key].type is int:
             try:
-                int(value)
+                if int(value) < 1 and key == "samples":
+                    errors.append(f"{path}.samples: expected at least 1, got {value!r}")
             except ValueError:
                 errors.append(f"{path}.{key}: expected an integer, got {value!r}")
-        elif key == "family" and value not in _DEFAULT_BACKENDS:
+        elif key == "family" and value not in FAMILIES:
             errors.append(f"{path}.family: unknown family {value!r}")
     # the scheme reads the job window (a malformed one is reported above);
     # detect derives its scheme window when it runs
@@ -270,20 +272,13 @@ def _split_encodings(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # context construction
 
-_DEFAULT_BACKENDS = {
-    "free": "cancellation-dp",
-    "perm": "transposition-closed-form",
-    "lattice": "l1",
-    "heisenberg": "bounded-search",
-}
-
 
 def build_context(params: dict[str, str]) -> GroupContext:
     family = params["family"]
     rank = int(params.get("rank", 2))
     dim = int(params.get("dim", 2))
     degree = int(params.get("degree", 5))
-    backend = params.get("backend", _DEFAULT_BACKENDS[family])
+    backend = params.get("backend", FAMILIES[family].backend)
     gen_text = params.get("generators")
     if gen_text is not None:
         gens = _parse_generators(gen_text, family, rank, dim)

@@ -25,6 +25,7 @@ from .pqm import (
     LimitScheme,
     PqmHandle,
     _exact_div,
+    check_coordinate,
     scheme_limit,
 )
 
@@ -259,6 +260,7 @@ def coordinate_functional(index: int, scheme: LimitScheme) -> ConeFunctional:
     """The i-th coordinate functional on the cone of Z^d (L^1-Lipschitz)."""
 
     def fn(p: ConePoint) -> float:
+        check_coordinate(p.ctx, index, f"coord:{index}")
         values = [p.element_at(n).coords[index] / n for n in scheme.indices()]
         return scheme_limit(scheme, values)[0]
 

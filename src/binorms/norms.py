@@ -2,7 +2,7 @@
 
 A :class:`GroupContext` bundles a group family with a generating-set
 descriptor and a norm backend, and owns both the norm and the induced
-right-invariant metric ``d(g, h) = ||g h^-1||``.  Backends:
+right-invariant metric ``d(g, h) = ||g h^-1||``.  Backends (``BACKENDS``):
 
 * ``bfs``              exact Cayley-graph search (enumerable generating sets)
 * ``transposition-closed-form``  |support| - #cycles on permutations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .groups import (
@@ -128,36 +128,44 @@ class GeneratingSet:
         return self.kind
 
 
+class Family(NamedTuple):
+    """A group family: the job key naming its size (``None``: the Heisenberg
+    group, labelled dim=3), its default backend and its standard set."""
+
+    size_key: str | None
+    backend: str
+    standard: Callable[[int, int], GeneratingSet]
+
+
+FAMILIES: dict[str, Family] = {
+    "free": Family("rank", "cancellation-dp", lambda rank, dim: GeneratingSet.normal_closure(
+        FreeWord.generator(rank, i) for i in range(1, rank + 1))),
+    "perm": Family("degree", "transposition-closed-form", lambda rank, dim:
+                   GeneratingSet.normal_closure((Permutation.transposition(1, 2),))),
+    "lattice": Family("dim", "l1", lambda rank, dim: GeneratingSet.explicit_symmetrized(
+        LatticeVector(tuple(int(i == j) for j in range(dim))) for i in range(dim))),
+    "heisenberg": Family(None, "bounded-search", lambda rank, dim:
+                         GeneratingSet.normal_closure((HEISENBERG_A, HEISENBERG_B))),
+}
+
+
 def standard_generators(family: str, rank: int = 2, dim: int = 2) -> GeneratingSet:
     """Each family's default generating set: the unit vectors of Z^dim and
     their inverses, or the normal closure of the free generators, of the
     transposition (1 2), or of the Heisenberg a and b."""
-    if family == "lattice":
-        return GeneratingSet.explicit_symmetrized(
-            LatticeVector(tuple(int(i == j) for j in range(dim))) for i in range(dim)
-        )
-    if family == "free":
-        return GeneratingSet.normal_closure(
-            tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
-        )
-    if family == "perm":
-        return GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
-    if family == "heisenberg":
-        return GeneratingSet.normal_closure((HEISENBERG_A, HEISENBERG_B))
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family].standard(rank, dim)
 
 
-def _symmetric(gens: GeneratingSet) -> set[str]:
-    return {t.encode() for s in gens.elements for t in (s, s.inverse())}
+def _is_standard(gens: GeneratingSet, standard: GeneratingSet) -> bool:
+    """Whether ``gens`` is the family's standard set: the same elements up
+    to inverses, listed or normally closed.  The standard set is closed
+    under conjugation, so its normal closure is itself."""
+    def symmetric(s: GeneratingSet) -> set[GroupElement]:
+        return {t for e in s.elements for t in (e, e.inverse())}
 
-
-def _is_standard_closure(ctx: "GroupContext") -> bool:
-    """Whether the context's generating set is the normal closure of its
-    family's standard generators."""
-    if ctx.generators.kind != "normal-closure":
-        return False
-    standard = standard_generators(ctx.family, ctx.rank, ctx.dim)
-    return standard.kind == "normal-closure" and _symmetric(ctx.generators) == _symmetric(standard)
+    return gens.kind in ("normal-closure", standard.kind) and symmetric(gens) == symmetric(standard)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +351,8 @@ def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> Norm
 
 def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> set[GroupElement]:
     """Conjugated generators x^-1 s^±1 x with the conjugator x ranging over
-    a ball of radius conj_len_max in the ambient standard word metric; a
-    free ball of more than ``ctx.memory_cap`` words raises BudgetError."""
+    a ball of radius conj_len_max in the ambient standard word metric; more
+    than ``ctx.memory_cap`` conjugators raise BudgetError before any is built."""
     gens = ctx.generators
     if gens.kind != "normal-closure":
         raise NormError("conjugate enumeration requires a normal-closure descriptor")
@@ -352,13 +360,12 @@ def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> set[GroupEle
         return enumerate_effective_generators(ctx)
     if ctx.family == "free":
         # reduced words of length <= L in rank r: 1 + sum_{i<L} 2r (2r-1)^i
-        count = 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len_max))
-        if count > ctx.memory_cap:
-            raise BudgetError(f"{count} conjugators exceed memory_cap {ctx.memory_cap}")
+        _charge(ctx, 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len_max)))
         conjugators = all_reduced_words(ctx.rank, conj_len_max)
     elif ctx.family == "heisenberg":
-        # conjugation by (p,q,r) depends only on (p,q), so the words
-        # a^p b^q with |p|+|q| <= conj_len_max cover the whole ball
+        # conjugation by (p,q,r) depends only on (p,q), so the 2L^2 + 2L + 1
+        # words a^p b^q with |p|+|q| <= L = conj_len_max cover the whole ball
+        _charge(ctx, 2 * conj_len_max * conj_len_max + 2 * conj_len_max + 1)
         conjugators = [
             (HEISENBERG_A ** p) * (HEISENBERG_B ** q)
             for p in range(-conj_len_max, conj_len_max + 1)
@@ -369,30 +376,27 @@ def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> set[GroupEle
     return _conjugates(gens.elements, conjugators)
 
 
+def _charge(ctx: "GroupContext", count: int) -> None:
+    """Raise BudgetError when ``count`` conjugators exceed the memory cap."""
+    if count > ctx.memory_cap:
+        raise BudgetError(f"{count} conjugators exceed memory_cap {ctx.memory_cap}")
+
+
 def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
     """Certified lower bound for the conjugacy word norm of g."""
     if g.is_identity():
         return 0
     if ctx.family == "free":
-        # each factor moves one exponent sum by the generator's exponent
-        sums = g.exponent_sums()
-        gen_images = [s.exponent_sums() for s in ctx.generators.elements]
-        if all(sum(abs(c) for c in img) == 1 for img in gen_images):
-            bound = sum(abs(c) for c in sums)
-            return max(bound, 1)
-        norms = [sum(abs(c) for c in img) for img in gen_images if any(img)]
-        if norms:
-            total = sum(abs(c) for c in sums)
-            return max(1, -(-total // max(norms)))
-        return 1
+        # each factor moves the L^1 norm of the exponent sums by at most
+        # the largest L^1 norm of a generator's exponent sums
+        total = sum(abs(c) for c in g.exponent_sums())
+        largest = max((sum(abs(c) for c in s.exponent_sums()) for s in ctx.generators.elements),
+                      default=0)
+        return max(1, -(-total // largest)) if largest else 1
     if ctx.family == "heisenberg":
         if g.x == 0 and g.y == 0:
             return 2  # nontrivial central element: no single generator is central
         return abs(g.x) + abs(g.y)
-    if ctx.family == "perm":
-        # parity of the permutation constrains parity of the factor count
-        odd = transposition_norm(g) % 2
-        return max(1, odd)
     return 1
 
 
@@ -460,23 +464,52 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
 # the context
 
 
-BACKENDS = (
-    "bfs",
-    "transposition-closed-form",
-    "cancellation-dp",
-    "l1",
-    "bounded-search",
-    "cl-bounds",
-)
-
-
-# The size key each family reads (the Heisenberg group has none; its
-# contexts are labelled dim=3).
-SIZE_KEYS = {"free": "rank", "perm": "degree", "lattice": "dim", "heisenberg": None}
-
 # Entries of a context's memo of exact cancellation norms; the memo is
 # emptied when it fills.
 NORM_MEMO_CAP = 4096
+
+
+def _cancellation_dp_norm(ctx: "GroupContext", g: FreeWord) -> NormInterval:
+    """The cancellation norm, memoised per context by the reduced word."""
+    if g.rank != ctx.rank:
+        raise FamilyMismatchError("rank mismatch with context")
+    key = g.codes()
+    interval = ctx._norm_memo.get(key)
+    if interval is None:
+        interval = NormInterval.exact_value(kernels.cancellation_dp(key))
+        if len(ctx._norm_memo) >= NORM_MEMO_CAP:
+            ctx._norm_memo.clear()
+        ctx._norm_memo[key] = interval
+    return interval
+
+
+def _bounded_search_norm(ctx: "GroupContext", g: GroupElement) -> NormInterval:
+    """The Heisenberg closed form on the standard closure, else the search."""
+    if ctx.family == "heisenberg" and ctx._standard:
+        return heisenberg_conjugacy_norm(g)[0]
+    return conjugate_product_search(ctx, g, ctx.search_k_max, ctx.search_conj_len)
+
+
+class Backend(NamedTuple):
+    """A norm backend: the family it serves and the generating set it
+    evaluates (``"standard"``: its family's, or a kind; ``None``: any), and
+    ``evaluate(ctx, g)``, which calls this module's functions as globals."""
+
+    family: str | None
+    generators: str | None
+    evaluate: Callable[["GroupContext", GroupElement], NormInterval]
+
+
+BACKENDS: dict[str, Backend] = {
+    "bfs": Backend(None, None, lambda ctx, g: bfs_word_norm(ctx, g, ctx.bfs_max_radius)),
+    "transposition-closed-form": Backend(
+        "perm", "standard", lambda ctx, g: NormInterval.exact_value(transposition_norm(g))),
+    "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm),
+    "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
+    "bounded-search": Backend(None, None, _bounded_search_norm),
+    "cl-bounds": Backend(None, "all-commutators", lambda ctx, g: commutator_length_bounds(
+        g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
+}
 
 
 @dataclass
@@ -499,45 +532,38 @@ class GroupContext:
     memory_cap: int = 500_000
     search_k_max: int = 6
     search_conj_len: int = 34
-    _ball: BfsBall | None = field(default=None, repr=False, compare=False)
+    _ball: BfsBall | None = field(default=None, init=False, repr=False, compare=False)
     _norm_memo: dict[tuple[int, ...], NormInterval] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _standard: bool = field(default=False, init=False, repr=False, compare=False)
+    _identity: GroupElement | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
+        row = BACKENDS.get(self.backend)
+        if row is None:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "transposition-closed-form" and self.family != "perm":
-            raise ValueError("transposition backend needs the perm family")
-        self._standard = _is_standard_closure(self)
-        if self.backend == "cancellation-dp":
-            if self.family != "free":
-                raise ValueError("the cancellation DP is restricted to free-group contexts")
-            if not self._standard:
-                raise ValueError(
-                    "the cancellation DP evaluates the normal closure of the free "
-                    "generators; use bounded-search for other closures"
-                )
-        if self.backend == "l1" and self.family != "lattice":
-            raise ValueError("l1 backend needs the lattice family")
-        if self.backend == "cl-bounds" and self.generators.kind != "all-commutators":
-            raise ValueError("cl-bounds backend needs the all-commutators descriptor")
+        if row.family not in (None, self.family):
+            raise ValueError(f"the {self.backend} backend needs the {row.family} family")
+        if row.generators not in (None, "standard", self.generators.kind):
+            raise ValueError(f"the {self.backend} backend needs the {row.generators} descriptor")
+        # membership first: a generator outside the context is a family mismatch
         for s in self.generators.elements:
             self.check_member(s, s.encode())
+        standard = standard_generators(self.family, self.rank, self.dim)
+        self._identity = standard.elements[0].identity()
+        self._standard = _is_standard(self.generators, standard)
+        if row.generators == "standard" and not self._standard:
+            raise ValueError(
+                f"the {self.backend} backend evaluates only {standard.describe()}, not "
+                f"{self.generators.describe()}; use bfs for explicit sets or bounded-search "
+                "for normal closures"
+            )
 
     # -- identities and parsing ------------------------------------------
 
     def identity(self) -> GroupElement:
-        if self.family == "free":
-            return FreeWord(self.rank, ())
-        if self.family == "perm":
-            return Permutation()
-        if self.family == "lattice":
-            return LatticeVector((0,) * self.dim)
-        if self.family == "heisenberg":
-            return Heisenberg(0, 0, 0)
-        raise ValueError(f"unknown family {self.family!r}")
+        return self._identity
 
     def decode(self, text: str) -> GroupElement:
         """Parse an element and check it belongs to this context's group."""
@@ -560,7 +586,7 @@ class GroupContext:
             )
 
     def describe(self) -> str:
-        key = SIZE_KEYS[self.family]
+        key = FAMILIES[self.family].size_key
         size = f"{key}={getattr(self, key)}" if key else "dim=3"
         return (f"family={self.family};{size};gens={self.generators.describe()};"
                 f"backend={self.backend}")
@@ -578,34 +604,7 @@ class GroupContext:
         return self._ball
 
     def norm(self, g: GroupElement) -> NormInterval:
-        if self.backend == "l1":
-            return NormInterval.exact_value(l1_norm(g))
-        if self.backend == "transposition-closed-form":
-            return NormInterval.exact_value(transposition_norm(g))
-        if self.backend == "cancellation-dp":
-            if g.rank != self.rank:
-                raise FamilyMismatchError("rank mismatch with context")
-            return self._memo_cancellation_norm(g)
-        if self.backend == "bfs":
-            return bfs_word_norm(self, g, self.bfs_max_radius)
-        if self.backend == "bounded-search":
-            if self.family == "heisenberg" and self._standard:
-                interval, _ = heisenberg_conjugacy_norm(g)
-                return interval
-            return conjugate_product_search(self, g, self.search_k_max, self.search_conj_len)
-        if self.backend == "cl-bounds":
-            return commutator_length_bounds(g, self.search_k_max, min(self.search_conj_len, 2))
-        raise NormError(f"backend {self.backend!r} cannot evaluate norms")
-
-    def _memo_cancellation_norm(self, g: FreeWord) -> NormInterval:
-        key = g.codes()
-        interval = self._norm_memo.get(key)
-        if interval is None:
-            interval = NormInterval.exact_value(kernels.cancellation_dp(key))
-            if len(self._norm_memo) >= NORM_MEMO_CAP:
-                self._norm_memo.clear()
-            self._norm_memo[key] = interval
-        return interval
+        return BACKENDS[self.backend].evaluate(self, g)
 
     def norm_exact(self, g: GroupElement):
         return self.norm(g).require_exact()

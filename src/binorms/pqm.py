@@ -34,7 +34,6 @@ from .groups import (
     FamilyMismatchError,
     FreeWord,
     GroupElement,
-    LatticeVector,
     commutator,
     conjugate,
 )
@@ -112,14 +111,21 @@ def norm_handle(ctx: GroupContext) -> PqmHandle:
     return PqmHandle("norm", lambda g: ctx.norm_exact(g), ctx)
 
 
-def coordinate_handle(ctx: GroupContext, index: int = 0) -> PqmHandle:
-    def fn(v: LatticeVector):
-        return v.coords[index]
+def check_coordinate(ctx: GroupContext, index: int, name: str) -> None:
+    """Refuse ``name``, a function of coordinate ``index``, off a lattice with that coordinate."""
+    if ctx.family != "lattice":
+        raise FamilyMismatchError(f"{name} is defined on lattice contexts, not {ctx.family!r}")
+    if not 0 <= index < ctx.dim:
+        raise ValueError(f"{name} reads coordinate {index}, the context has dim {ctx.dim}")
 
-    return PqmHandle(f"coord:{index}", fn, ctx)
+
+def coordinate_handle(ctx: GroupContext, index: int = 0) -> PqmHandle:
+    check_coordinate(ctx, index, f"coord:{index}")
+    return PqmHandle(f"coord:{index}", lambda v: v.coords[index], ctx)
 
 
 def scaled_coordinate_handle(ctx: GroupContext, factor: int) -> PqmHandle:
+    check_coordinate(ctx, 0, f"scale:{factor}")
     return PqmHandle(f"scale:{factor}", lambda v: factor * v.coords[0], ctx)
 
 
@@ -835,8 +841,5 @@ def walk_handle(walk: Walk, ctx: GroupContext | None = None) -> PqmHandle:
     """The walk as a function on the integer line context."""
     if ctx is None:
         ctx = integer_line_context()
-
-    def fn(v: LatticeVector) -> int:
-        return walk(v.coords[0])
-
-    return PqmHandle(f"walk:{walk.kind}", fn, ctx)
+    check_coordinate(ctx, 0, f"walk:{walk.kind}")
+    return PqmHandle(f"walk:{walk.kind}", lambda v: walk(v.coords[0]), ctx)

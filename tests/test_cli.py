@@ -85,6 +85,36 @@ job {
         assert any("family" in e for e in exc.value.errors)
 
 
+class TestSpecErrors:
+    @pytest.mark.parametrize("text, error", [
+        ("job {\n  task = norm\njob {\n  task = norm\n}\n", "line 3: nested job block"),
+        ("task = norm\n", "line 1: expected 'job {', got 'task = norm'"),
+        ("job {\n  task norm\n}\n", "line 2: expected 'key = value', got 'task norm'"),
+        ("job {\n  task = norm\n  task = norm\n}\n", "line 3: duplicate key 'task'"),
+        ("job {\n  family = free\n}\n", "job[0]: missing required key 'task' (line 1)"),
+        ("job {\n  task = nrom\n}\n", "job[0].task: unknown task 'nrom' (line 1)"),
+        ("job {\n  task = norm\n  family = free\n  rank = two\n  element = a\n}\n",
+         "job[0].rank: expected an integer, got 'two' (line 1)"),
+        ("job {\n  task = norm\n  element = a\n}\n",
+         "job[0]: missing required key 'family' (line 1)"),
+    ])
+    def test_each_error_is_reported(self, text, error):
+        _, errors = parse_jobfile(text)
+        assert error in errors
+
+    @pytest.mark.parametrize("task, function", [
+        ("defect", "--function"), ("lipschitz", "--function"), ("pullback", "--functional"),
+    ])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exit_two(self, task, function, samples, capsys):
+        value = "cone-norm" if task == "pullback" else "norm"
+        code = main([task, "--family", "lattice", "--dim", "2", function, value,
+                     "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"job[0].samples: expected at least 1, got '{samples}'" in captured.err
+
+
 class TestTaskRegistry:
     @staticmethod
     def _job_text(name: str, extra: dict[str, str]) -> str:
@@ -327,6 +357,31 @@ class TestMainEntry:
     ])
     def test_removed_options_give_error_rows(self, argv, code, capsys):
         assert main([*argv, "--reproducible"]) == 1
+        assert f",error,{code}," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "lattice", "--dim", "2", "--generators", "explicit:[1,1],[1,-1]",
+         "--element", "[1,1]"],
+        ["--family", "perm", "--degree", "4", "--generators", "normal:(1 2)(3 4)",
+         "--element", "(1 2)(3 4)"],
+    ])
+    def test_closed_forms_refuse_other_generating_sets(self, argv, capsys):
+        assert main(["norm", *argv, "--reproducible"]) == 1
+        out = capsys.readouterr().out
+        assert ",error,E_VALUE," in out and "use bfs for explicit sets or bounded-search" in out
+        assert main(["norm", *argv, "--backend", "bfs", "--reproducible"]) == 0
+        assert ",norm,1," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["defect", "--family", "free", "--function", "coord:0"], "E_FAMILY_MISMATCH"),
+        (["defect", "--family", "heisenberg", "--function", "scale:2"], "E_FAMILY_MISMATCH"),
+        (["defect", "--family", "free", "--function", "walk:all-up"], "E_FAMILY_MISMATCH"),
+        (["lipschitz", "--family", "lattice", "--dim", "2", "--function", "coord:5"], "E_VALUE"),
+        (["pullback", "--family", "free", "--functional", "coord:0"], "E_FAMILY_MISMATCH"),
+        (["pullback", "--family", "lattice", "--dim", "2", "--functional", "coord:7"], "E_VALUE"),
+    ])
+    def test_lattice_functions_checked_against_the_context(self, argv, code, capsys):
+        assert main([*argv, "--samples", "5", "--reproducible"]) == 1
         assert f",error,{code}," in capsys.readouterr().out
 
     def test_norm_accepts_permutations_within_the_degree(self, capsys):

@@ -57,6 +57,75 @@ def transposition_ctx(degree, **kw):
     return GroupContext("perm", gens, "bfs", degree=degree, **kw)
 
 
+P12_34 = Permutation.from_cycles([(1, 2), (3, 4)])
+T12, T23 = Permutation.transposition(1, 2), Permutation.transposition(2, 3)
+
+# Per family: its standard set, another normal closure, an explicit set
+# and all commutators (perm contexts have degree 4, lattice ones dim 2).
+GRID_SETS = {
+    "free": (standard_generators("free"), GeneratingSet.normal_closure((A * A,)),
+             GeneratingSet.explicit_symmetrized([A, B])),
+    "perm": (standard_generators("perm"), GeneratingSet.normal_closure((P12_34,)),
+             GeneratingSet.explicit_symmetrized([T12, T23])),
+    "lattice": (standard_generators("lattice"),
+                GeneratingSet.normal_closure((LatticeVector((1, 1)),)),
+                GeneratingSet.explicit_symmetrized([LatticeVector((1, 1)), LatticeVector((1, -1))])),
+    "heisenberg": (standard_generators("heisenberg"), GeneratingSet.normal_closure((HA,)),
+                   GeneratingSet.explicit_symmetrized([HA, HB])),
+}
+GRID_KINDS = ("standard", "other-closure", "explicit", "all-commutators")
+# the (family, set) pairs each backend accepts; it refuses every other
+# pair with a ValueError
+GRID_ACCEPTS = {
+    "bfs": {(f, k) for f in GRID_SETS for k in GRID_KINDS},
+    "bounded-search": {(f, k) for f in GRID_SETS for k in GRID_KINDS},
+    "cancellation-dp": {("free", "standard")},
+    "transposition-closed-form": {("perm", "standard")},
+    "l1": {("lattice", "standard")},
+    "cl-bounds": {(f, "all-commutators") for f in GRID_SETS},
+}
+
+
+class TestConstructionGrid:
+    @pytest.mark.parametrize("backend", sorted(GRID_ACCEPTS))
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("family", sorted(GRID_SETS))
+    def test_backend_accepts_or_refuses(self, family, kind, backend):
+        gens = (*GRID_SETS[family], GeneratingSet.all_commutators())[GRID_KINDS.index(kind)]
+        if (family, kind) in GRID_ACCEPTS[backend]:
+            GroupContext(family, gens, backend, degree=4)
+        else:
+            with pytest.raises(ValueError):
+                GroupContext(family, gens, backend, degree=4)
+
+    def test_standard_sets_match_up_to_inverses_listed_or_closed(self):
+        units = (LatticeVector((1, 0)), LatticeVector((0, 1)))
+        for gens in (GeneratingSet.normal_closure(units), GeneratingSet.explicit_symmetrized(units)):
+            assert GroupContext("lattice", gens, "l1").norm_exact(LatticeVector((2, -1))) == 3
+        closure = GeneratingSet.normal_closure((B.inverse(), A))
+        assert GroupContext("free", closure, "cancellation-dp").norm_exact(commutator(A, B)) == 2
+
+    def test_closed_form_refusal_names_the_search_backends(self):
+        gens = GeneratingSet.explicit_symmetrized([LatticeVector((1, 1)), LatticeVector((1, -1))])
+        with pytest.raises(ValueError, match="use bfs for explicit sets or bounded-search"):
+            GroupContext("lattice", gens, "l1")
+        # the norm the closed form would have printed is 2; the set's is 1
+        bfs = GroupContext("lattice", gens, "bfs")
+        assert bfs.norm_exact(LatticeVector((1, 1))) == 1
+
+    def test_membership_is_checked_before_the_standard_set(self):
+        gens = GeneratingSet.explicit_symmetrized([LatticeVector((1, 0, 0))])
+        with pytest.raises(FamilyMismatchError):
+            GroupContext("lattice", gens, "l1", dim=2)
+
+    def test_identity_and_ball_are_not_constructor_arguments(self):
+        ctx = lattice_context(3)
+        assert ctx.identity() == LatticeVector((0, 0, 0))
+        assert heisenberg_context().identity() == Heisenberg(0, 0, 0)
+        with pytest.raises(TypeError):
+            GroupContext("lattice", standard_generators("lattice"), "bfs", _ball=None)
+
+
 class TestNormInterval:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -481,6 +550,27 @@ def test_free_conjugators_counted_against_the_memory_cap():
         ctx.norm(A)
     fits = GroupContext("free", gens, "bounded-search", search_conj_len=5, memory_cap=485)
     assert fits.norm(A).require_exact() == 1
+
+
+def test_heisenberg_conjugators_counted_against_the_memory_cap():
+    # |p| + |q| <= 20: 2 * 20^2 + 2 * 20 + 1 = 841 conjugators a^p b^q
+    ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
+                       search_conj_len=20, memory_cap=500)
+    with pytest.raises(BudgetError, match="841 conjugators exceed memory_cap 500"):
+        ctx.norm(HA)
+    fits = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
+                        search_conj_len=20, memory_cap=841)
+    assert fits.norm(HA).require_exact() == 1
+
+
+def test_lower_bound_for_a_generator_image_that_is_not_a_unit():
+    # each conjugate of a^2 moves the exponent sum of a by 2, so a^4 needs
+    # two of them, and two suffice
+    ctx = GroupContext("free", GeneratingSet.normal_closure((A * A,)), "bounded-search",
+                       search_conj_len=2)
+    assert norms._abelianisation_lower_bound(ctx, A ** 4) == 2
+    assert norms._abelianisation_lower_bound(ctx, A ** 3) == 2
+    assert ctx.norm(A ** 4) == NormInterval(2, 2, True)
 
 
 def test_norm_table_round_trip(tmp_path):
