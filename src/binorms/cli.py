@@ -38,8 +38,8 @@ from typing import Callable, NamedTuple, Sequence
 from . import cone as cone_mod
 from . import pqm as pqm_mod
 from .groups import EncodingError, FamilyMismatchError, FreeWord, LatticeVector, decode
-from .norms import (FAMILIES, BudgetError, GeneratingSet, GroupContext, InexactNormError,
-                    NormError, standard_generators)
+from .norms import (BACKENDS, FAMILIES, BudgetError, GeneratingSet, GroupContext,
+                    InexactNormError, NormError, standard_generators)
 from .pqm import (
     FeketeHypothesisError,
     FiniteOrderError,
@@ -279,10 +279,11 @@ def build_context(params: dict[str, str]) -> GroupContext:
     dim = int(params.get("dim", 2))
     degree = int(params.get("degree", 5))
     backend = params.get("backend", FAMILIES[family].backend)
+    row = BACKENDS.get(backend)
     gen_text = params.get("generators")
     if gen_text is not None:
         gens = _parse_generators(gen_text, family, rank, dim)
-    elif family == "free" and backend == "cl-bounds":
+    elif row is not None and row.generators == "all-commutators":
         gens = GeneratingSet.all_commutators()
     else:
         gens = standard_generators(family, rank, dim)

@@ -40,7 +40,10 @@ class GroupElement:
     """Common interface of the four families.
 
     Subclasses implement ``__mul__``, ``inverse``, ``identity`` and
-    ``encode``; powers, conjugates and commutators are derived here.
+    ``encode``; powers, conjugates and commutators are derived here.  Each
+    family validates in its public constructors, builds products and
+    inverses through a private constructor that skips validation, and
+    compares and hashes one tuple key.
     """
 
     family = "abstract"
@@ -77,12 +80,12 @@ class GroupElement:
                 base = base * base
         return result
 
-    def _require_same_family(self, other: "GroupElement") -> None:
-        if type(self) is not type(other):
-            raise FamilyMismatchError(
-                f"cannot combine {self.family} element with "
-                f"{getattr(other, 'family', type(other).__name__)} element"
-            )
+    def _mismatch(self, other: object) -> FamilyMismatchError:
+        """The error for a product with an element of another family."""
+        return FamilyMismatchError(
+            f"cannot combine {self.family} element with "
+            f"{getattr(other, 'family', type(other).__name__)} element"
+        )
 
 
 def conjugate(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -188,7 +191,8 @@ class FreeWord(GroupElement):
         )
 
     def __mul__(self, other: GroupElement) -> "FreeWord":
-        self._require_same_family(other)
+        if type(other) is not FreeWord:
+            raise self._mismatch(other)
         if self.rank != other.rank:
             raise FamilyMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
         a, b = self._codes, other._codes
@@ -224,13 +228,13 @@ class FreeWord(GroupElement):
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, FreeWord)
+            type(other) is FreeWord
             and self.rank == other.rank
             and self._codes == other._codes
         )
 
     def __hash__(self) -> int:
-        return hash(("free", self.rank, self._codes))
+        return hash((self.rank, self._codes))
 
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {self.encode()!r})"
@@ -239,17 +243,24 @@ class FreeWord(GroupElement):
 # ---------------------------------------------------------------------------
 # finite-support permutations
 
+# The largest point a permutation may move: one image is stored per point
+# up to the largest moved one, so this bounds an element's size.
+MAX_POINT = 1 << 16
+
 
 class Permutation(GroupElement):
     """Finite-support bijection of the positive integers.
 
-    Only moved points are stored, so elements of S_infinity with small
-    support stay small.  Products compose left to right: ``(p * q)`` first
-    applies ``p``, then ``q``.
+    Stored as one tuple of the images of 1..m, where m is the largest moved
+    point; trailing fixed points are trimmed, so equal permutations have
+    equal tuples.  Points are at most ``MAX_POINT``.  Products compose left
+    to right: ``(p * q)`` first applies ``p``, then ``q``.  The public
+    constructors validate; products and inverses index the tuples and
+    skip validation.
     """
 
     family = "perm"
-    __slots__ = ("pairs", "_map")
+    __slots__ = ("_images",)
 
     def __init__(self, mapping: dict[int, int] | Iterable[tuple[int, int]] = ()):
         items = dict(mapping)
@@ -260,15 +271,35 @@ class Permutation(GroupElement):
         cleaned = {p: items[p] for p in support}
         if set(cleaned.values()) != support:
             raise ValueError("mapping is not a bijection of its support")
-        self.pairs = tuple(sorted(cleaned.items()))
-        self._map = cleaned
+        largest = max(support, default=0)
+        if largest > MAX_POINT:
+            raise ValueError(f"permutation points must be at most {MAX_POINT}")
+        self._images = tuple(cleaned.get(p, p) for p in range(1, largest + 1))
+
+    @classmethod
+    def _from_images(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from the images of 1..m, already a bijection with
+        m moved (no trailing fixed point)."""
+        perm = object.__new__(cls)
+        perm._images = images
+        return perm
+
+    def images(self) -> tuple[int, ...]:
+        """The images of 1..m, m the largest moved point (0 for the identity)."""
+        return self._images
 
     def apply(self, point: int) -> int:
-        return self._map.get(point, point)
+        images = self._images
+        return images[point - 1] if 1 <= point <= len(images) else point
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The moved points with their images, in increasing order."""
+        return tuple((p, img) for p, img in enumerate(self._images, 1) if p != img)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
+        return tuple(p for p, img in enumerate(self._images, 1) if p != img)
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -320,22 +351,34 @@ class Permutation(GroupElement):
         return "".join("(" + " ".join(str(p) for p in cycle) + ")" for cycle in cycles)
 
     def __mul__(self, other: GroupElement) -> "Permutation":
-        self._require_same_family(other)
-        points = set(self._map) | set(other._map)
-        mapping = {p: other.apply(self.apply(p)) for p in points}
-        return Permutation(mapping)
+        if type(other) is not Permutation:
+            raise self._mismatch(other)
+        a, b = self._images, other._images
+        n = len(b)
+        if len(a) < n:
+            # a fixes the points past its own, so b alone moves them
+            images = [b[i - 1] for i in a] + list(b[len(a):])
+        else:
+            images = [b[i - 1] if i <= n else i for i in a]
+        m = len(images)
+        while m and images[m - 1] == m:
+            m -= 1
+        return Permutation._from_images(tuple(images[:m]))
 
     def inverse(self) -> "Permutation":
-        return Permutation({img: p for p, img in self.pairs})
+        inverse = [0] * len(self._images)
+        for p, img in enumerate(self._images, 1):
+            inverse[img - 1] = p
+        return Permutation._from_images(tuple(inverse))
 
     def identity(self) -> "Permutation":
-        return Permutation()
+        return Permutation._from_images(())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.pairs == other.pairs
+        return type(other) is Permutation and self._images == other._images
 
     def __hash__(self) -> int:
-        return hash(("perm", self.pairs))
+        return hash(self._images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.encode()!r})"
@@ -347,16 +390,18 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
     Deterministic: cycles sorted by minimal element, each rotated to start
     at its minimum.
     """
-    remaining = set(p.support)
+    images = p.images()
+    seen = [False] * (len(images) + 1)
     cycles = []
-    while remaining:
-        start = min(remaining)
+    for start, image in enumerate(images, 1):
+        if seen[start] or image == start:
+            continue
         cycle = [start]
-        point = p.apply(start)
-        while point != start:
-            cycle.append(point)
-            point = p.apply(point)
-        remaining -= set(cycle)
+        seen[start] = True
+        while image != start:
+            cycle.append(image)
+            seen[image] = True
+            image = images[image - 1]
         cycles.append(tuple(cycle))
     return cycles
 
@@ -380,6 +425,13 @@ class LatticeVector(GroupElement):
                 raise ValueError("coordinates must be integers")
         self.coords = coords
 
+    @classmethod
+    def _from_coords(cls, coords: tuple[int, ...]) -> "LatticeVector":
+        """A vector from a nonempty tuple of integers."""
+        vector = object.__new__(cls)
+        vector.coords = coords
+        return vector
+
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -402,22 +454,23 @@ class LatticeVector(GroupElement):
         return "[" + ",".join(str(c) for c in self.coords) + "]"
 
     def __mul__(self, other: GroupElement) -> "LatticeVector":
-        self._require_same_family(other)
-        if self.dim != other.dim:
+        if type(other) is not LatticeVector:
+            raise self._mismatch(other)
+        if len(self.coords) != len(other.coords):
             raise FamilyMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return LatticeVector(a + b for a, b in zip(self.coords, other.coords))
+        return LatticeVector._from_coords(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def inverse(self) -> "LatticeVector":
-        return LatticeVector(-c for c in self.coords)
+        return LatticeVector._from_coords(tuple([-c for c in self.coords]))
 
     def identity(self) -> "LatticeVector":
-        return LatticeVector((0,) * self.dim)
+        return LatticeVector._from_coords((0,) * len(self.coords))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LatticeVector) and self.coords == other.coords
+        return type(other) is LatticeVector and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(("lattice", self.coords))
+        return hash(self.coords)
 
     def __repr__(self) -> str:
         return f"LatticeVector({self.encode()})"
@@ -448,6 +501,15 @@ class Heisenberg(GroupElement):
         self.z = z
 
     @classmethod
+    def _from_xyz(cls, x: int, y: int, z: int) -> "Heisenberg":
+        """An element from three integers."""
+        h = object.__new__(cls)
+        h.x = x
+        h.y = y
+        h.z = z
+        return h
+
+    @classmethod
     def parse(cls, text: str) -> "Heisenberg":
         text = text.strip()
         if not (text.startswith("H(") and text.endswith(")")):
@@ -465,27 +527,28 @@ class Heisenberg(GroupElement):
         return f"H({self.x},{self.y},{self.z})"
 
     def __mul__(self, other: GroupElement) -> "Heisenberg":
-        self._require_same_family(other)
-        return Heisenberg(
+        if type(other) is not Heisenberg:
+            raise self._mismatch(other)
+        return Heisenberg._from_xyz(
             self.x + other.x,
             self.y + other.y,
             self.z + other.z + self.x * other.y,
         )
 
     def inverse(self) -> "Heisenberg":
-        return Heisenberg(-self.x, -self.y, self.x * self.y - self.z)
+        return Heisenberg._from_xyz(-self.x, -self.y, self.x * self.y - self.z)
 
     def identity(self) -> "Heisenberg":
-        return Heisenberg(0, 0, 0)
+        return Heisenberg._from_xyz(0, 0, 0)
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, Heisenberg)
+            type(other) is Heisenberg
             and (self.x, self.y, self.z) == (other.x, other.y, other.z)
         )
 
     def __hash__(self) -> int:
-        return hash(("heisenberg", self.x, self.y, self.z))
+        return hash((self.x, self.y, self.z))
 
     def __repr__(self) -> str:
         return f"Heisenberg({self.x}, {self.y}, {self.z})"

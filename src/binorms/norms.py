@@ -38,7 +38,7 @@ from .groups import (
     conjugate,
     cycle_decomposition,
 )
-from .sampling import all_permutations, all_reduced_words
+from .sampling import all_reduced_words
 
 
 class NormError(Exception):
@@ -130,18 +130,32 @@ class GeneratingSet:
 
 class Family(NamedTuple):
     """A group family: the job key naming its size (``None``: the Heisenberg
-    group, labelled dim=3), its default backend and its standard set."""
+    group, labelled dim=3), its default backend, its standard set and, where
+    a normal closure is recognised by conjugacy class, ``standard_class``:
+    the index of the standard generator g is conjugate to up to inverse,
+    or None."""
 
     size_key: str | None
     backend: str
     standard: Callable[[int, int], GeneratingSet]
+    standard_class: Callable[[GroupElement], int | None] | None = None
+
+
+def _free_letter_class(w: FreeWord) -> int | None:
+    """i when w cyclically reduces to the one letter a_i or a_i^-1."""
+    codes = w.codes()
+    i, j = 0, len(codes) - 1
+    while i < j and codes[i] == -codes[j]:
+        i, j = i + 1, j - 1
+    return abs(codes[i]) if i == j else None
 
 
 FAMILIES: dict[str, Family] = {
     "free": Family("rank", "cancellation-dp", lambda rank, dim: GeneratingSet.normal_closure(
-        FreeWord.generator(rank, i) for i in range(1, rank + 1))),
+        FreeWord.generator(rank, i) for i in range(1, rank + 1)), _free_letter_class),
     "perm": Family("degree", "transposition-closed-form", lambda rank, dim:
-                   GeneratingSet.normal_closure((Permutation.transposition(1, 2),))),
+                   GeneratingSet.normal_closure((Permutation.transposition(1, 2),)),
+                   lambda p: 1 if len(p.support) == 2 else None),
     "lattice": Family("dim", "l1", lambda rank, dim: GeneratingSet.explicit_symmetrized(
         LatticeVector(tuple(int(i == j) for j in range(dim))) for i in range(dim))),
     "heisenberg": Family(None, "bounded-search", lambda rank, dim:
@@ -158,10 +172,18 @@ def standard_generators(family: str, rank: int = 2, dim: int = 2) -> GeneratingS
     return FAMILIES[family].standard(rank, dim)
 
 
-def _is_standard(gens: GeneratingSet, standard: GeneratingSet) -> bool:
-    """Whether ``gens`` is the family's standard set: the same elements up
-    to inverses, listed or normally closed.  The standard set is closed
-    under conjugation, so its normal closure is itself."""
+def _is_standard(family: str, gens: GeneratingSet, standard: GeneratingSet) -> bool:
+    """Whether ``gens`` is the family's standard set.  In a family with a
+    ``standard_class``, a normal closure is standard when each listed
+    element is conjugate, up to inverse, to a standard generator and every
+    standard generator is hit.  Otherwise the set must have the standard
+    elements up to inverses, listed or normally closed; the standard set is
+    closed under conjugation, so its normal closure is itself."""
+    standard_class = FAMILIES[family].standard_class
+    if standard_class is not None and gens.kind == "normal-closure":
+        classes = {standard_class(e) for e in gens.elements}
+        return classes == {standard_class(e) for e in standard.elements}
+
     def symmetric(s: GeneratingSet) -> set[GroupElement]:
         return {t for e in s.elements for t in (e, e.inverse())}
 
@@ -182,11 +204,11 @@ def l1_norm(v) -> float:
 def transposition_norm(p: Permutation) -> int:
     """Word norm of a permutation w.r.t. the class of all transpositions.
 
-    Equals |support| - (number of cycles); cross-validated against BFS on
-    S_4 and S_5 in the acceptance suite.
+    Equals |support| - (number of cycles), the sum of (length - 1) over
+    the cycles; cross-validated against BFS on S_4 and S_5 in the
+    acceptance suite.
     """
-    cycles = cycle_decomposition(p)
-    return len(p.support) - len(cycles)
+    return sum(len(cycle) - 1 for cycle in cycle_decomposition(p))
 
 
 def cancellation_norm(w: FreeWord) -> int:
@@ -202,7 +224,8 @@ def cancellation_norm(w: FreeWord) -> int:
 
 
 def heisenberg_conjugacy_norm(g: Heisenberg) -> tuple[NormInterval, tuple[Heisenberg, ...]]:
-    """Norm of g w.r.t. the normal closure of {a, b} in the Heisenberg group.
+    """Norm of g w.r.t. the normal closure of {a, b} in the Heisenberg group,
+    with its witness: conjugated generators whose product is g.
 
     Conjugation acts on generators through the abelianised conjugator only:
     x^-1 a^s x = (s, 0, s*q) and x^-1 b^s x = (0, s, -s*p) for x = (p,q,r).
@@ -212,37 +235,38 @@ def heisenberg_conjugacy_norm(g: Heisenberg) -> tuple[NormInterval, tuple[Heisen
     element needs k >= 2 since every generator has nonzero abelianisation.
     The bounds meet, so the result is always exact.
     """
-    x, y, z = g.x, g.y, g.z
-    if x == 0 and y == 0:
-        if z == 0:
-            return NormInterval.exact_value(0), ()
-        # conjugate of b with parameter p = -z, times b^-1
-        factors = (Heisenberg(0, 1, z), Heisenberg(0, -1, 0))
-    else:
-        sa = 1 if x > 0 else -1
-        sb = 1 if y > 0 else -1
-        factors_list: list[Heisenberg] = []
-        if x != 0:
-            # fold the whole z-adjustment into the first a-factor
-            factors_list.append(Heisenberg(sa, 0, z - x * y))
-            factors_list.extend(Heisenberg(sa, 0, 0) for _ in range(abs(x) - 1))
-            factors_list.extend(Heisenberg(0, sb, 0) for _ in range(abs(y)))
-        else:
-            factors_list.append(Heisenberg(0, sb, z))
-            factors_list.extend(Heisenberg(0, sb, 0) for _ in range(abs(y) - 1))
-        factors = tuple(factors_list)
-    product = g.identity()
-    for f in factors:
-        if not _is_heisenberg_conjugate_generator(f):
-            raise NormError(f"internal witness {f!r} is not a conjugated generator")
-        product = product * f
-    if product != g:
-        raise NormError(f"witness product {product!r} does not equal target {g!r}")
+    runs = _heisenberg_witness_runs(g)
+    factors = tuple(f for f, count in runs for _ in range(count))
     return NormInterval.exact_value(len(factors)), factors
 
 
-def _is_heisenberg_conjugate_generator(f: Heisenberg) -> bool:
-    return (abs(f.x), abs(f.y)) in ((1, 0), (0, 1))
+def _heisenberg_witness_runs(g: Heisenberg) -> tuple[tuple[Heisenberg, int], ...]:
+    """The witness of ``heisenberg_conjugacy_norm`` as runs (f, count) of
+    equal factors, checked exactly without expanding them: each f is a
+    conjugated generator, so it has x = 0 or y = 0, and then
+    (s,0,c)^k = (ks,0,kc) and (0,s,c)^k = (0,ks,kc)."""
+    x, y, z = g.x, g.y, g.z
+    sa = 1 if x > 0 else -1
+    sb = 1 if y > 0 else -1
+    if x == 0 and y == 0:
+        if z == 0:
+            return ()
+        # conjugate of b with parameter p = -z, times b^-1
+        runs = ((Heisenberg(0, 1, z), 1), (Heisenberg(0, -1, 0), 1))
+    elif x != 0:
+        # fold the whole z-adjustment into the first a-factor
+        runs = ((Heisenberg(sa, 0, z - x * y), 1), (Heisenberg(sa, 0, 0), abs(x) - 1),
+                (Heisenberg(0, sb, 0), abs(y)))
+    else:
+        runs = ((Heisenberg(0, sb, z), 1), (Heisenberg(0, sb, 0), abs(y) - 1))
+    product = g.identity()
+    for f, count in runs:
+        if (abs(f.x), abs(f.y)) not in ((1, 0), (0, 1)):
+            raise NormError(f"internal witness {f!r} is not a conjugated generator")
+        product = product * Heisenberg(count * f.x, count * f.y, count * f.z)
+    if product != g:
+        raise NormError(f"witness product {product!r} does not equal target {g!r}")
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +335,20 @@ def _conjugates(gens: Iterable[GroupElement], conjugators: Iterable[GroupElement
     return {conjugate(t, x) for x in conjugators for t in signed}
 
 
+def _conjugacy_orbit(gens: Iterable[GroupElement],
+                     conjugators: Sequence[GroupElement]) -> set[GroupElement]:
+    """Every conjugate of every s^±1 by the finite group that ``conjugators``
+    generate: the closure of the signed generators under conjugation by
+    each of them, grown until a round adds nothing."""
+    orbit = {t for s in gens for t in (s, s.inverse())}
+    frontier = list(orbit)
+    while frontier:
+        found = {conjugate(t, x) for t in frontier for x in conjugators}
+        frontier = list(found - orbit)
+        orbit |= found
+    return orbit
+
+
 def enumerate_effective_generators(ctx: "GroupContext") -> set[GroupElement]:
     """The finite effective generating set for BFS, or raise NormError."""
     gens = ctx.generators
@@ -318,11 +356,12 @@ def enumerate_effective_generators(ctx: "GroupContext") -> set[GroupElement]:
         return set(gens.elements)
     if gens.kind == "normal-closure":
         if ctx.family == "perm":
-            # conjugates within S_degree: finite, enumerable
-            return _conjugates(gens.elements, all_permutations(ctx.degree))
+            # conjugates within S_degree, which the adjacent transpositions generate
+            adjacent = [Permutation.transposition(i, i + 1) for i in range(1, ctx.degree)]
+            return _conjugacy_orbit(gens.elements, adjacent)
         if ctx.family == "lattice":
             # conjugation is trivial in an abelian group
-            return _conjugates(gens.elements, (ctx.identity(),))
+            return _conjugacy_orbit(gens.elements, ())
         raise NormError(
             f"normal closure is not enumerable for family {ctx.family!r}; "
             "use the dedicated backend"
@@ -486,7 +525,7 @@ def _cancellation_dp_norm(ctx: "GroupContext", g: FreeWord) -> NormInterval:
 def _bounded_search_norm(ctx: "GroupContext", g: GroupElement) -> NormInterval:
     """The Heisenberg closed form on the standard closure, else the search."""
     if ctx.family == "heisenberg" and ctx._standard:
-        return heisenberg_conjugacy_norm(g)[0]
+        return NormInterval.exact_value(sum(count for _, count in _heisenberg_witness_runs(g)))
     return conjugate_product_search(ctx, g, ctx.search_k_max, ctx.search_conj_len)
 
 
@@ -506,8 +545,8 @@ BACKENDS: dict[str, Backend] = {
         "perm", "standard", lambda ctx, g: NormInterval.exact_value(transposition_norm(g))),
     "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm),
     "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
-    "bounded-search": Backend(None, None, _bounded_search_norm),
-    "cl-bounds": Backend(None, "all-commutators", lambda ctx, g: commutator_length_bounds(
+    "bounded-search": Backend(None, "normal-closure", _bounded_search_norm),
+    "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: commutator_length_bounds(
         g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
 }
 
@@ -552,7 +591,7 @@ class GroupContext:
             self.check_member(s, s.encode())
         standard = standard_generators(self.family, self.rank, self.dim)
         self._identity = standard.elements[0].identity()
-        self._standard = _is_standard(self.generators, standard)
+        self._standard = _is_standard(self.family, self.generators, standard)
         if row.generators == "standard" and not self._standard:
             raise ValueError(
                 f"the {self.backend} backend evaluates only {standard.describe()}, not "
@@ -580,9 +619,9 @@ class GroupContext:
             raise FamilyMismatchError(
                 f"lattice vector {text!r} has dimension {g.dim}, context has {self.dim}"
             )
-        if self.family == "perm" and g.support and g.support[-1] > self.degree:
+        if self.family == "perm" and len(g.images()) > self.degree:
             raise FamilyMismatchError(
-                f"permutation {text!r} moves {g.support[-1]}, beyond degree {self.degree}"
+                f"permutation {text!r} moves {len(g.images())}, beyond degree {self.degree}"
             )
 
     def describe(self) -> str:

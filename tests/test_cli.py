@@ -481,6 +481,51 @@ job {
         assert (tmp_path / "run.csv").read_text() == (tmp_path / "sub.csv").read_text()
 
 
+class TestBackendRows:
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "lattice", "--dim", "2", "--generators", "explicit:[1,1],[1,-1]",
+          "--backend", "bounded-search", "--element", "[1,1]"], "needs the normal-closure"),
+        (["--family", "lattice", "--generators", "all-commutators", "--backend", "cl-bounds",
+          "--element", "[1,1]"], "needs the free family"),
+        (["--family", "lattice", "--backend", "cl-bounds", "--element", "[1,1]"],
+         "needs the free family"),
+    ])
+    def test_a_set_the_backend_cannot_evaluate_is_refused(self, argv, message, capsys):
+        assert main(["norm", *argv, "--reproducible"]) == 1
+        out = capsys.readouterr().out
+        assert ",error,E_VALUE," in out and message in out
+
+    @pytest.mark.parametrize("family, generators, element, reference", [
+        # the same closure searched by BFS, and the DP of the listed standard set
+        ("perm", "normal:(2 3)", "(1 2 3)", ["--generators", "normal:(2 3)", "--backend", "bfs"]),
+        ("free", "normal:b^-1 a b,b", "a^-1 b^-1 a b", []),
+    ])
+    def test_standard_closures_listed_by_other_class_members(self, family, generators, element,
+                                                             reference, capsys):
+        argv = ["norm", "--family", family, "--element", element, "--reproducible"]
+        assert main([*argv, "--generators", generators]) == 0
+        assert ",norm,2,\"[2,2]\",1," in capsys.readouterr().out
+        assert main([*argv, *reference]) == 0
+        assert ",norm,2,\"[2,2]\",1," in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "binorms", "norm", "--family", "perm", "--element", "(1 2)",
+         "--reproducible"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert ",norm,1," in done.stdout
+
+
 class TestFormatNumber:
     def test_fraction_and_float_forms(self):
         from fractions import Fraction

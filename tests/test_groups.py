@@ -196,3 +196,116 @@ def test_cross_family_operations_rejected():
         A * Heisenberg(0, 0, 1)
     with pytest.raises(FamilyMismatchError):
         LatticeVector((1,)) * LatticeVector((1, 2))
+
+
+# -- permutations against a dict model ------------------------------------------
+#
+# The reference stores only moved points, {point: image}, and composes by
+# dict lookups.
+
+
+def _ref_moved(mapping):
+    return {p: q for p, q in mapping.items() if p != q}
+
+
+def _ref_mul(f, g):
+    # left to right: first f, then g
+    return _ref_moved({p: g.get(f.get(p, p), f.get(p, p)) for p in set(f) | set(g)})
+
+
+def _ref_cycles(f):
+    remaining, cycles = set(f), []
+    while remaining:
+        start = min(remaining)
+        cycle = [start]
+        while f[cycle[-1]] != start:
+            cycle.append(f[cycle[-1]])
+        remaining -= set(cycle)
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+@st.composite
+def perm_mappings(draw):
+    """A bijection of 1..n, given with up to three explicit fixed points past n."""
+    n = draw(st.integers(0, 8))
+    mapping = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    mapping.update((p, p) for p in range(n + 1, n + 1 + draw(st.integers(0, 3))))
+    return mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm_mappings(), perm_mappings())
+def test_permutations_match_the_dict_model(f, g):
+    p, q = Permutation(f), Permutation(g)
+    rf, rg = _ref_moved(f), _ref_moved(g)
+    assert p.pairs == tuple(sorted(rf.items()))
+    assert p.support == tuple(sorted(rf))
+    assert p.images() == tuple(rf.get(i, i) for i in range(1, max(rf, default=0) + 1))
+    assert [p.apply(i) for i in range(-1, 13)] == [rf.get(i, i) for i in range(-1, 13)]
+    # products of different lengths, trimmed to the largest moved point
+    product = p * q
+    assert product.pairs == tuple(sorted(_ref_mul(rf, rg).items()))
+    assert product == Permutation(_ref_mul(rf, rg))
+    assert hash(product) == hash(Permutation(_ref_mul(rf, rg)))
+    assert p.inverse().pairs == tuple(sorted((v, k) for k, v in rf.items()))
+    assert (p * p.inverse()).is_identity() and (p.inverse() * p).is_identity()
+    assert p * p.identity() == p == p.identity() * p
+    assert p.identity() == Permutation() and p.identity().images() == ()
+    assert (p == q) == (rf == rg)
+    # trailing fixed points given explicitly do not change the value
+    assert p == Permutation(rf) and hash(p) == hash(Permutation(rf))
+    assert cycle_decomposition(p) == _ref_cycles(rf)
+    assert p.encode() == ("".join("(" + " ".join(map(str, c)) + ")" for c in _ref_cycles(rf)) or "()")
+    assert Permutation.parse(p.encode()) == p
+    assert Permutation.from_cycles(cycle_decomposition(p)) == p
+
+
+def test_permutation_points_are_capped():
+    from binorms.groups import MAX_POINT, EncodingError
+
+    assert Permutation.transposition(1, MAX_POINT).support == (1, MAX_POINT)
+    with pytest.raises(ValueError, match="at most"):
+        Permutation.transposition(1, MAX_POINT + 1)
+    with pytest.raises(EncodingError, match="at most"):
+        Permutation.parse(f"(1 {10 ** 12})")
+
+
+# -- group axioms and round trips on all four families ---------------------------
+
+
+def _triples(element):
+    return st.lists(element, min_size=3, max_size=3)
+
+
+_ints = st.integers(-10 ** 6, 10 ** 6)
+TRIPLES = {
+    "free": st.integers(1, 3).flatmap(
+        lambda rank: _triples(_letter_lists(rank).map(lambda letters: FreeWord(rank, letters)))),
+    "perm": _triples(perm_mappings().map(Permutation)),
+    "lattice": st.integers(1, 4).flatmap(
+        lambda dim: _triples(st.lists(_ints, min_size=dim, max_size=dim).map(LatticeVector))),
+    "heisenberg": _triples(st.tuples(_ints, _ints, _ints).map(lambda t: Heisenberg(*t))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRIPLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_group_axioms_and_round_trips(family, data):
+    a, b, c = data.draw(TRIPLES[family])
+    e = a.identity()
+    assert (a * b) * c == a * (b * c)
+    assert a * e == a == e * a and e.is_identity()
+    assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+    assert (a * b).inverse() == b.inverse() * a.inverse()
+    assert a.inverse().inverse() == a
+    rank = getattr(a, "rank", None)
+    for x in (a, b, a * b, e):
+        y = decode(family, x.encode(), rank=rank)
+        assert y == x and hash(y) == hash(x) and y.encode() == x.encode()
+    assert (a == b) == (a.encode() == b.encode())
+    other = FreeWord.generator(1, 1) if family != "free" else Permutation.transposition(1, 2)
+    with pytest.raises(FamilyMismatchError):
+        a * other
+    assert a != other

@@ -18,6 +18,7 @@ from binorms.groups import (
     conjugate,
 )
 from binorms.norms import (
+    FAMILIES,
     BfsBall,
     BudgetError,
     GeneratingSet,
@@ -78,11 +79,13 @@ GRID_KINDS = ("standard", "other-closure", "explicit", "all-commutators")
 # pair with a ValueError
 GRID_ACCEPTS = {
     "bfs": {(f, k) for f in GRID_SETS for k in GRID_KINDS},
-    "bounded-search": {(f, k) for f in GRID_SETS for k in GRID_KINDS},
+    # normal closures only: the lattice's standard set is an explicit list
+    "bounded-search": {(f, k) for f in GRID_SETS for k in ("standard", "other-closure")}
+    - {("lattice", "standard")},
     "cancellation-dp": {("free", "standard")},
     "transposition-closed-form": {("perm", "standard")},
     "l1": {("lattice", "standard")},
-    "cl-bounds": {(f, "all-commutators") for f in GRID_SETS},
+    "cl-bounds": {("free", "all-commutators")},
 }
 
 
@@ -124,6 +127,50 @@ class TestConstructionGrid:
         assert heisenberg_context().identity() == Heisenberg(0, 0, 0)
         with pytest.raises(TypeError):
             GroupContext("lattice", standard_generators("lattice"), "bfs", _ball=None)
+
+
+class TestStandardUpToConjugacy:
+    """A perm or free normal closure is standard when its elements hit the
+    standard generators' classes, up to inverse, and nothing else."""
+
+    def test_perm_closure_of_another_transposition_is_the_closed_form(self):
+        for degree in (3, 4, 5):
+            gens = GeneratingSet.normal_closure((T23,))
+            closed = GroupContext("perm", gens, "transposition-closed-form", degree=degree)
+            bfs = GroupContext("perm", gens, "bfs", degree=degree)
+            for p in all_permutations(degree):
+                assert closed.norm_exact(p) == bfs.norm_exact(p) == transposition_norm(p)
+        two = GeneratingSet.normal_closure((T23, Permutation.transposition(1, 4)))
+        ctx = GroupContext("perm", two, "transposition-closed-form", degree=4)
+        assert ctx.norm_exact(Permutation.from_cycles([(1, 2, 3, 4)])) == 3
+
+    def test_free_closure_of_conjugated_letters_is_the_dp(self):
+        gens = GeneratingSet.normal_closure((conjugate(A, B), B.inverse()))
+        ctx = GroupContext("free", gens, "cancellation-dp")
+        for w in all_reduced_words(2, 4):
+            assert ctx.norm_exact(w) == cancellation_norm(w) == deletion_oracle(w)
+        # products of conjugates of the listed elements reach the DP's value
+        search = GroupContext("free", gens, "bounded-search", search_conj_len=2, search_k_max=3)
+        for w in all_reduced_words(2, 3):
+            assert search.norm(w) == NormInterval.exact_value(cancellation_norm(w))
+
+    @pytest.mark.parametrize("family, elements", [
+        ("perm", (Permutation.from_cycles([(1, 2, 3)]),)),
+        ("perm", (T12, P12_34)),
+        ("free", (A,)),                     # b is not hit
+        ("free", (A * B,)),                 # cyclically two letters
+        ("free", (conjugate(A, B), A.inverse())),
+        ("free", (A, B, A * A)),
+    ])
+    def test_other_classes_are_refused(self, family, elements):
+        backend = FAMILIES[family].backend
+        with pytest.raises(ValueError, match="use bfs for explicit sets or bounded-search"):
+            GroupContext(family, GeneratingSet.normal_closure(elements), backend, degree=4)
+
+    def test_free_letter_class(self):
+        for text, index in (("a", 1), ("b^-1", 2), ("a b a^-1", 2), ("b^-1 a^-1 b", 1),
+                            ("a b", None), ("a a", None), ("a b^-1 a^-1 b", None)):
+            assert norms._free_letter_class(FreeWord.parse(text, 2)) == index
 
 
 class TestNormInterval:
@@ -200,6 +247,46 @@ class TestBallDistance:
     def test_generators_deduplicated_and_sorted(self):
         ball = BfsBall(Z2_UNITS + Z2_UNITS[::-1], LatticeVector((0, 0)))
         assert ball.generators == sorted(Z2_UNITS, key=lambda e: e.encode())
+
+
+def _s_n_conjugates(elements, degree):
+    """Every x^-1 s^±1 x over all of S_degree: the reference for the orbit."""
+    return {conjugate(t, x) for x in all_permutations(degree)
+            for s in elements for t in (s, s.inverse())}
+
+
+class TestPermutationClosure:
+    @pytest.mark.parametrize("cycles, degree", [
+        (cycles, degree)
+        for cycles in ([[(1, 2)]], [[(1, 2), (3, 4)]], [[(1, 2, 3)]], [[(1, 2)], [(1, 2, 3)]])
+        for degree in range(2, 7)
+        if degree >= max(p for c in cycles for cycle in c for p in cycle)
+    ])
+    def test_orbit_equals_conjugation_by_all_of_s_n(self, cycles, degree):
+        elements = tuple(Permutation.from_cycles(c) for c in cycles)
+        ctx = GroupContext("perm", GeneratingSet.normal_closure(elements), "bfs", degree=degree)
+        assert norms.enumerate_effective_generators(ctx) == _s_n_conjugates(elements, degree)
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_ball_of_s_n_is_the_closed_form(self, degree):
+        ball = transposition_ctx(degree).bfs_ball(degree)
+        assert set(ball.distances) == set(all_permutations(degree))
+        for p, d in ball.distances.items():
+            assert d == transposition_norm(p)
+
+    def test_truncated_s6_ball_keeps_its_table(self):
+        ctx = transposition_ctx(6, memory_cap=30)
+        ball = ctx.bfs_ball(12)
+        # which elements a capped ball keeps follows the expansion order, so pin it
+        assert ball.truncated and ball.radius == 1
+        assert ",".join(g.encode() for g in ball.distances) == (
+            "(),(1 2),(1 3),(1 4),(1 5),(1 6),(2 3),(2 4),(2 5),(2 6),(3 4),(3 5),(3 6),"
+            "(4 5),(4 6),(5 6),(1 2 3),(1 2 4),(1 2 5),(1 2 6),(1 3 2),(1 4 2),(1 5 2),"
+            "(1 6 2),(1 2)(3 4),(1 2)(3 5),(1 2)(3 6),(1 2)(4 5),(1 2)(4 6),(1 2)(5 6)"
+        )
+        assert list(ball.distances.values()) == [0] + [1] * 15 + [2] * 14
+        assert ctx.norm(Permutation.from_cycles([(4, 6, 5)])) == NormInterval(0, math.inf, False)
+        assert ctx.norm_exact(Permutation.from_cycles([(1, 3, 2)])) == 2
 
 
 class TestTranspositionNorm:
@@ -365,6 +452,32 @@ class TestHeisenbergNorm:
         draw = element_sampler("heisenberg", box=6)
         report = check_conjugation_invariance(ctx, sample_pairs(draw, 3, 400))
         assert report.invariant
+
+
+def _factor_list_witness(g):
+    """The Heisenberg witness built factor by factor, without runs."""
+    x, y, z = g.x, g.y, g.z
+    if x == 0 and y == 0:
+        return () if z == 0 else (Heisenberg(0, 1, z), Heisenberg(0, -1, 0))
+    sa = 1 if x > 0 else -1
+    sb = 1 if y > 0 else -1
+    if x != 0:
+        return ((Heisenberg(sa, 0, z - x * y),) + (Heisenberg(sa, 0, 0),) * (abs(x) - 1)
+                + (Heisenberg(0, sb, 0),) * abs(y))
+    return (Heisenberg(0, sb, z),) + (Heisenberg(0, sb, 0),) * (abs(y) - 1)
+
+
+def test_heisenberg_witness_runs_keep_the_factor_list():
+    ctx = heisenberg_context()
+    box = range(-6, 7)
+    for g in (Heisenberg(x, y, z) for x in box for y in box for z in box):
+        iv, factors = heisenberg_conjugacy_norm(g)
+        assert factors == _factor_list_witness(g)
+        assert iv == NormInterval.exact_value(len(factors)) == ctx.norm(g)
+        product = g.identity()
+        for f in factors:
+            product = product * f
+        assert product == g
 
 
 class TestConjugateProductSearch:
