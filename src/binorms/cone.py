@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .groups import FreeWord, GroupElement, commutator
-from .norms import GroupContext, NormError, in_commutator_subgroup
+from .norms import MAX_LETTERS, GroupContext, NormError, in_commutator_subgroup
 from .pqm import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCE,
@@ -57,17 +57,12 @@ class ConeEstimate:
             raise ValueError("estimate must lie between its liminf and limsup")
 
 
-# Longest free word a cone point hands to the norm, so a single estimate
-# cannot blow the time budget of the cancellation DP.
-MAX_LETTERS = 4096
-
-
 class ConePoint:
     """A linear-growth sequence representing a point of the asymptotic cone.
 
     Index evaluations are memoised and deterministic; the growth bound is
     asserted at every index whose norm is evaluated, and a free word over
-    ``MAX_LETTERS`` letters is refused.
+    the kernel's ``MAX_LETTERS`` letters is refused before it is evaluated.
     """
 
     def __init__(

@@ -2,7 +2,8 @@
 
 The one hot inner loop in this package is the interval dynamic program
 behind the free-group cancellation norm: translation lengths, cone
-distances and the c-trick norm checks all evaluate it on long words.
+distances, the McShane extension and the c-trick norm checks all
+evaluate it on long words.
 
 ``N(i, j)``, the minimal number of deletions that make ``codes[i..j]``
 freely reduce to the identity, satisfies
@@ -16,6 +17,15 @@ time, from the right, and visits only the positions ``k`` that hold the
 inverse letter of ``codes[i]`` (kept in per-letter position lists).  It is
 plain Python on list rows: O(L^2) cells plus O(L) work per matching pair.
 
+``prefix_norms`` returns row 0, ``N(0, j - 1)`` for every prefix length
+``j``.  ``N`` of a word equals the cancellation norm of the element it
+spells, whether or not the word is freely reduced: the deletions that kill
+the reduced word kill every word that reduces to it, and each deletion is
+one conjugate of a generator.  So one row of the plain concatenation
+``h g g ... g`` holds ``||h g^n||`` for every n, at prefix length
+``|h| + n |g|``; the McShane extension reads two such rows per evaluation.
+``cancellation_dp`` is the last entry of the row.
+
 Kernel input format: any sequence of signed generator codes
 ``sign * index`` (index >= 1) -- a tuple, a list or a numpy integer array.
 """
@@ -26,8 +36,9 @@ NUMBA_AVAILABLE = False
 ACTIVE_BACKEND = "python-sparse"
 
 
-def cancellation_dp(codes) -> int:
-    """Minimal deletions so the coded word freely reduces to the identity."""
+def prefix_norms(codes) -> tuple[int, ...]:
+    """Entry j is the minimal number of deletions that make the first j
+    letters of the coded word freely reduce to the identity."""
     codes = [int(c) for c in codes]
     length = len(codes)
     # rows[i][j + 1] = N(i, j), so column j + 1 ends at letter j;
@@ -47,4 +58,9 @@ def cancellation_dp(codes) -> int:
                     row[col] = cand
         rows[i] = row
         where.setdefault(c, []).append(i)
-    return rows[0][length]
+    return tuple(rows[0])
+
+
+def cancellation_dp(codes) -> int:
+    """Minimal deletions so the coded word freely reduces to the identity."""
+    return prefix_norms(codes)[-1]

@@ -20,6 +20,7 @@ approximated.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -50,7 +51,8 @@ class InexactNormError(NormError):
 
 
 class BudgetError(NormError):
-    """Raised when a search would build more than the context's memory cap."""
+    """Raised when a search would build more than the context's memory cap,
+    or the kernel would run on more than ``MAX_LETTERS`` letters."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,13 @@ class NormInterval:
                 f"exact norm required, have bounds [{self.lower}, {self.upper}]"
             )
         return self.lower
+
+
+@functools.cache
+def _exact_interval(value: int) -> NormInterval:
+    """The one shared exact interval of an integer norm value; a norm is at
+    most its word's length, so at most ``MAX_LETTERS + 1`` are ever built."""
+    return NormInterval.exact_value(value)
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +512,49 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
 # the context
 
 
-# Entries of a context's memo of exact cancellation norms; the memo is
-# emptied when it fills.
+# Entries of a context's memo of kernel rows; the memo is emptied when it
+# fills.
 NORM_MEMO_CAP = 4096
+
+# Longest word the kernel runs on: its table is L^2 cells.  Cone points
+# refuse longer elements with the same cap.
+MAX_LETTERS = 4096
+
+
+def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The memo's miss path: ``kernels.prefix_norms(codes)``, stored under the
+    codes the kernel ran on.  A row is a function of its codes alone, so
+    every reader of ``ctx._norm_memo.get(codes)`` may share it."""
+    if len(codes) > MAX_LETTERS:
+        raise BudgetError(
+            f"a {len(codes)}-letter word is over the {MAX_LETTERS}-letter kernel cap"
+        )
+    row = kernels.prefix_norms(codes)
+    if len(ctx._norm_memo) >= NORM_MEMO_CAP:
+        ctx._norm_memo.clear()
+    ctx._norm_memo[codes] = row
+    return row
 
 
 def _cancellation_dp_norm(ctx: "GroupContext", g: FreeWord) -> NormInterval:
-    """The cancellation norm, memoised per context by the reduced word."""
+    """The cancellation norm: the last entry of the reduced word's row."""
     if g.rank != ctx.rank:
         raise FamilyMismatchError("rank mismatch with context")
-    key = g.codes()
-    interval = ctx._norm_memo.get(key)
-    if interval is None:
-        interval = NormInterval.exact_value(kernels.cancellation_dp(key))
-        if len(ctx._norm_memo) >= NORM_MEMO_CAP:
-            ctx._norm_memo.clear()
-        ctx._norm_memo[key] = interval
-    return interval
+    codes = g.codes()
+    row = ctx._norm_memo.get(codes) or _kernel_row(ctx, codes)
+    return _exact_interval(row[-1])
+
+
+def _cancellation_dp_ray(ctx: "GroupContext", h: FreeWord, g: FreeWord,
+                         count: int) -> list[int]:
+    """||h g^n|| for n = 0..count: entry |h| + n|g| of the row of the plain,
+    unreduced codes of h g^count."""
+    if h.rank != ctx.rank or g.rank != ctx.rank:
+        raise FamilyMismatchError("rank mismatch with context")
+    head, step = h.codes(), g.codes()
+    codes = head + step * count
+    row = ctx._norm_memo.get(codes) or _kernel_row(ctx, codes)
+    return [row[len(head) + n * len(step)] for n in range(count + 1)]
 
 
 def _bounded_search_norm(ctx: "GroupContext", g: GroupElement) -> NormInterval:
@@ -531,21 +566,36 @@ def _bounded_search_norm(ctx: "GroupContext", g: GroupElement) -> NormInterval:
 
 class Backend(NamedTuple):
     """A norm backend: the family it serves and the generating set it
-    evaluates (``"standard"``: its family's, or a kind; ``None``: any), and
-    ``evaluate(ctx, g)``, which calls this module's functions as globals."""
+    evaluates (``"standard"``: its family's, or a kind; ``None``: any),
+    ``evaluate(ctx, g)``, which calls this module's functions as globals,
+    and ``ray(ctx, h, g, count)``, the norms ``||h g^n||`` for n = 0..count
+    when the backend has a faster way than one product and one norm a step."""
 
     family: str | None
     generators: str | None
     evaluate: Callable[["GroupContext", GroupElement], NormInterval]
+    ray: Callable[["GroupContext", GroupElement, GroupElement, int], list] | None = None
+
+
+def _member_norm(evaluate: Callable[["GroupContext", GroupElement], NormInterval]):
+    """``evaluate`` behind the context's membership check, for the backends
+    that serve permutations or lattice vectors; a free word's rank is
+    checked by the free evaluators themselves."""
+    def checked(ctx: "GroupContext", g: GroupElement) -> NormInterval:
+        ctx.check_member(g)
+        return evaluate(ctx, g)
+    return checked
 
 
 BACKENDS: dict[str, Backend] = {
-    "bfs": Backend(None, None, lambda ctx, g: bfs_word_norm(ctx, g, ctx.bfs_max_radius)),
-    "transposition-closed-form": Backend(
-        "perm", "standard", lambda ctx, g: NormInterval.exact_value(transposition_norm(g))),
-    "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm),
-    "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
-    "bounded-search": Backend(None, "normal-closure", _bounded_search_norm),
+    "bfs": Backend(None, None, _member_norm(
+        lambda ctx, g: bfs_word_norm(ctx, g, ctx.bfs_max_radius))),
+    "transposition-closed-form": Backend("perm", "standard", _member_norm(
+        lambda ctx, g: NormInterval.exact_value(transposition_norm(g)))),
+    "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm, _cancellation_dp_ray),
+    "l1": Backend("lattice", "standard", _member_norm(
+        lambda ctx, g: NormInterval.exact_value(l1_norm(g)))),
+    "bounded-search": Backend(None, "normal-closure", _member_norm(_bounded_search_norm)),
     "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: commutator_length_bounds(
         g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
 }
@@ -557,8 +607,8 @@ class GroupContext:
 
     Owns the norm ``||.||`` and the induced metric ``d(g,h) = ||g h^-1||``.
     Evaluators are pure; the BFS cache is grown on demand and read-only
-    between growth steps, and cancellation-DP norms are memoised per
-    context by the reduced word.
+    between growth steps, and cancellation-DP kernel rows are memoised per
+    context by the codes the kernel ran on.
     """
 
     family: str
@@ -572,7 +622,7 @@ class GroupContext:
     search_k_max: int = 6
     search_conj_len: int = 34
     _ball: BfsBall | None = field(default=None, init=False, repr=False, compare=False)
-    _norm_memo: dict[tuple[int, ...], NormInterval] = field(
+    _norm_memo: dict[tuple[int, ...], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _standard: bool = field(default=False, init=False, repr=False, compare=False)
@@ -588,7 +638,7 @@ class GroupContext:
             raise ValueError(f"the {self.backend} backend needs the {row.generators} descriptor")
         # membership first: a generator outside the context is a family mismatch
         for s in self.generators.elements:
-            self.check_member(s, s.encode())
+            self.check_member(s)
         standard = standard_generators(self.family, self.rank, self.dim)
         self._identity = standard.elements[0].identity()
         self._standard = _is_standard(self.family, self.generators, standard)
@@ -612,16 +662,23 @@ class GroupContext:
         self.check_member(g, text)
         return g
 
-    def check_member(self, g: GroupElement, text: str) -> None:
-        """Reject a lattice vector of another dimension or a permutation
-        moving a point beyond the degree (``text`` names g in the error)."""
+    def check_member(self, g: GroupElement, text: str | None = None) -> None:
+        """Reject an element of another family, a lattice vector of another
+        dimension or a permutation moving a point beyond the degree
+        (``text`` names g in the error, its encoding by default)."""
+        if g.family != self.family:
+            raise FamilyMismatchError(
+                f"{g.family} element {text or g.encode()!r} in a {self.family} context"
+            )
         if self.family == "lattice" and g.dim != self.dim:
             raise FamilyMismatchError(
-                f"lattice vector {text!r} has dimension {g.dim}, context has {self.dim}"
+                f"lattice vector {text or g.encode()!r} has dimension {g.dim}, "
+                f"context has {self.dim}"
             )
         if self.family == "perm" and len(g.images()) > self.degree:
             raise FamilyMismatchError(
-                f"permutation {text!r} moves {len(g.images())}, beyond degree {self.degree}"
+                f"permutation {text or g.encode()!r} moves {len(g.images())}, "
+                f"beyond degree {self.degree}"
             )
 
     def describe(self) -> str:
@@ -650,6 +707,19 @@ class GroupContext:
 
     def dist(self, g: GroupElement, h: GroupElement):
         return self.norm_exact(g * h.inverse())
+
+    def ray_norms(self, h: GroupElement, g: GroupElement, count: int) -> list:
+        """||h g^n|| for n = 0..count.  The cancellation-DP backend reads them
+        off one memoised kernel row; every other backend makes one product
+        and one exact norm per step."""
+        ray = BACKENDS[self.backend].ray
+        if ray is not None:
+            return ray(self, h, g, count)
+        norms = [self.norm_exact(h)]
+        for _ in range(count):
+            h = h * g
+            norms.append(self.norm_exact(h))
+        return norms
 
     def power_norms(self, g: GroupElement, window: int) -> Iterator[tuple[int, GroupElement, Any]]:
         """Lazily yield (n, g^n, ||g^n||) for n = 1..window, one product per

@@ -560,41 +560,42 @@ class McShaneExtension:
         if self.c <= 0:
             raise ValueError("growth constant c must be positive")
         self.window = window
-        self.powers: dict[int, GroupElement] = {0: ctx.identity()}
         self.norms: dict[int, Fraction] = {}
         for n, power, norm in ctx.power_norms(g, window):
             if power.is_identity():
                 raise FiniteOrderError(f"{g.encode()} has order {n} <= window")
-            self.powers[n] = power
-            self.powers[-n] = power.inverse()
             norm = Fraction(norm)
             self.norms[n] = norm
             if norm < self.c * n:
                 raise WindowCertificateError(
                     f"||g^{n}|| = {norm} < c*n = {self.c * n}"
                 )
+        self._g_inverse = g.inverse()
         outer = range(window // 2 + 1, window + 1)
         self.tail_floor = min(Fraction(self.norms[m], m) for m in outer)
+        # neg_closed reads (tail_floor - c) * (W + 1) - ||h|| > f(h); times
+        # q * d, d the denominator of tail_floor, both sides are integers
+        self._tail_den = self.tail_floor.denominator
+        self._neg_reach = ((self.c.denominator * self.tail_floor.numerator
+                            - self.c.numerator * self._tail_den) * (window + 1))
 
     def eval_with_certificate(self, h: GroupElement) -> tuple[Fraction, ExtensionCertificate]:
         # with c = p/q, compare q * (c*n + d(h, g^n)) = p*n + q*||h g^-n||
-        # in integers, using the stored inverse powers
-        norm_exact = self.ctx.norm_exact
-        powers = self.powers
+        # in integers; ||h g^-n|| and ||h g^n|| for n = 0..W are two rays
         p, q = self.c.numerator, self.c.denominator
-        nh = _exact(norm_exact(h))
+        window = self.window
+        back = self.ctx.ray_norms(h, self._g_inverse, window)
+        ahead = self.ctx.ray_norms(h, self.g, window)
+        nh = _exact(back[0])
         best_q = q * nh  # n = 0 term: d(h, 1) = ||h||
-        for n in range(1, self.window + 1):
-            for signed in (n, -n):
-                term = p * signed + q * _exact(norm_exact(h * powers[-signed]))
-                if term < best_q:
-                    best_q = term
-        best = Fraction(best_q, q)
-        w1 = self.window + 1
-        pos_closed = self.c * w1 > best
-        neg_closed = (self.tail_floor - self.c) * w1 - nh > best
-        return best, ExtensionCertificate(pos_closed and neg_closed, pos_closed,
-                                          neg_closed, self.tail_floor)
+        for n in range(1, window + 1):
+            term = min(p * n + q * _exact(back[n]), q * _exact(ahead[n]) - p * n)
+            if term < best_q:
+                best_q = term
+        pos_closed = p * (window + 1) > best_q
+        neg_closed = self._neg_reach - q * self._tail_den * nh > self._tail_den * best_q
+        return Fraction(best_q, q), ExtensionCertificate(pos_closed and neg_closed, pos_closed,
+                                                         neg_closed, self.tail_floor)
 
     def __call__(self, h: GroupElement) -> Fraction:
         return self.eval_with_certificate(h)[0]

@@ -17,6 +17,7 @@ from binorms.cli import (
     run_job,
     run_jobfile,
 )
+from binorms import norms
 from binorms.norms import (
     commutator_length_context,
     free_cancellation_context,
@@ -415,6 +416,12 @@ class TestMainEntry:
     def test_free_bounded_search_over_budget_is_an_error_row(self, capsys):
         code = main(["norm", "--family", "free", "--backend", "bounded-search",
                      "--element", "a b", "--reproducible"])
+        assert code == 1
+        assert ",error,E_BUDGET," in capsys.readouterr().out
+
+    def test_word_over_the_kernel_letter_cap_is_an_error_row(self, monkeypatch, capsys):
+        monkeypatch.setattr(norms, "MAX_LETTERS", 4)
+        code = main(["norm", "--family", "free", "--element", "a a b a b", "--reproducible"])
         assert code == 1
         assert ",error,E_BUDGET," in capsys.readouterr().out
 

@@ -67,3 +67,30 @@ def test_parity_invariant():
     for _ in range(100):
         w = random_free_word(rng, 2, 14)
         assert (kernels.cancellation_dp(w.codes()) - len(w)) % 2 == 0
+
+
+ray_cases = st.integers(2, 3).flatmap(lambda rank: st.tuples(
+    st.lists(st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), max_size=3),
+    st.lists(st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(1, rank), st.sampled_from((1, -1))), max_size=4),
+    st.one_of(st.none(), st.integers(-4, 4)),
+    st.sampled_from((1, -1)),
+    st.integers(1, 5),
+).map(lambda t: (rank, *t)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ray_cases)
+def test_prefix_row_of_a_ray_matches_each_reduced_prefix(case):
+    # g = u^-1 core u is not cyclically reduced whenever u is not empty;
+    # h is either a free word or the power g^m
+    rank, conj, core, head, m, sign, window = case
+    g = FreeWord(rank, conj).inverse() * FreeWord(rank, core) * FreeWord(rank, conj)
+    h = FreeWord(rank, head) if m is None else g ** m
+    codes = h.codes() + (g ** sign).codes() * window
+    row = kernels.prefix_norms(codes)
+    assert len(row) == len(codes) + 1
+    for j in range(len(codes) + 1):
+        prefix = FreeWord(rank, [(abs(c), 1 if c > 0 else -1) for c in codes[:j]])
+        assert row[j] == kernels.cancellation_dp(prefix.codes())
+    assert kernels.cancellation_dp(codes) == row[-1]

@@ -358,6 +358,65 @@ class TestPowerNorms:
         assert seen == [A * B, (A * B) ** 2]
 
 
+class TestRayNorms:
+    @pytest.mark.parametrize("family", sorted(POWER_CASES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 8), sign=st.sampled_from((1, -1)))
+    def test_one_norm_per_step(self, family, data, count, sign):
+        ctx, elements = POWER_CASES[family]
+        g, h = data.draw(elements), data.draw(elements)
+        if data.draw(st.booleans()):
+            h = g ** data.draw(st.integers(-4, 4))
+        step = g ** sign
+        assert ctx.ray_norms(h, step, count) == [
+            ctx.norm_exact(h * step ** n) for n in range(count + 1)
+        ]
+
+    def test_free_rays_read_one_kernel_row(self, monkeypatch):
+        ctx = free_cancellation_context(2)
+        g = B.inverse() * A * B
+        expected = [cancellation_norm(A * g ** -n) for n in range(7)]
+        kernel = kernels.prefix_norms
+        calls = []
+        monkeypatch.setattr(kernels, "prefix_norms", lambda codes: calls.append(codes) or kernel(codes))
+        assert ctx.ray_norms(A, g.inverse(), 6) == expected
+        assert calls == [A.codes() + g.inverse().codes() * 6]
+
+    def test_rows_are_keyed_by_the_codes_alone(self):
+        # 1.(ab)^2 and (ab).(ab)^1 spell the same codes; each read-out is its own
+        ctx = free_cancellation_context(2)
+        ab = A * B
+        norm = [kernels.cancellation_dp((ab ** n).codes()) for n in range(3)]
+        assert ctx.ray_norms(ctx.identity(), ab, 2) == norm
+        assert ctx.ray_norms(ab, ab, 1) == norm[1:]
+        assert ctx.norm_exact(ab ** 2) == norm[2]
+        assert list(ctx._norm_memo) == [(ab ** 2).codes()]
+
+    def test_kernel_letter_cap(self, monkeypatch):
+        monkeypatch.setattr(norms, "MAX_LETTERS", 6)
+        ctx = free_cancellation_context(2)
+        assert ctx.norm_exact(A ** 6) == 6
+        with pytest.raises(BudgetError, match="7-letter word is over the 6-letter"):
+            ctx.norm(A ** 7)
+        # the row's word is over the cap though no word it spells is
+        with pytest.raises(BudgetError):
+            ctx.ray_norms(A ** 3, A.inverse(), 4)
+        assert list(ctx._norm_memo) == [(A ** 6).codes()]
+
+
+class TestMembership:
+    @pytest.mark.parametrize("ctx, g", [
+        (symmetric_transposition_context(5), Permutation.parse("(1 9)")),
+        (transposition_ctx(5), Permutation.parse("(1 9)")),
+        (lattice_context(2), LatticeVector((1, 2, 3))),
+        (lattice_context(2), Permutation.parse("(1 2)")),
+        (heisenberg_context(), LatticeVector((1, 2))),
+    ])
+    def test_norm_refuses_an_element_outside_the_context(self, ctx, g):
+        with pytest.raises(FamilyMismatchError):
+            ctx.norm(g)
+
+
 class TestNormMemo:
     def test_results_match_kernel_across_eviction(self, monkeypatch):
         monkeypatch.setattr(norms, "NORM_MEMO_CAP", 16)
@@ -370,17 +429,17 @@ class TestNormMemo:
                 assert len(ctx._norm_memo) <= norms.NORM_MEMO_CAP
 
     def test_repeats_skip_the_kernel(self, monkeypatch):
-        kernel = kernels.cancellation_dp
+        kernel = kernels.prefix_norms
         calls = []
 
         def counted(codes):
             calls.append(codes)
             return kernel(codes)
 
-        monkeypatch.setattr(kernels, "cancellation_dp", counted)
+        monkeypatch.setattr(kernels, "prefix_norms", counted)
         ctx = free_cancellation_context(2)
         g = commutator(A, B) ** 3
-        assert [ctx.norm_exact(g) for _ in range(3)] == [kernel(g.codes())] * 3
+        assert [ctx.norm_exact(g) for _ in range(3)] == [kernel(g.codes())[-1]] * 3
         assert calls == [g.codes()]
 
     def test_rank_mismatch_still_raises(self):

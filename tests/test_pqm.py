@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import recursive_g_shape_witnesses, recursive_h_shape_witnesses
 
 from binorms.groups import FreeWord, Heisenberg, LatticeVector, Permutation, commutator, conjugate
@@ -362,6 +364,67 @@ class TestMcShaneExtension:
                 assert type(value) is Fraction and value == best
                 assert (cert.exact, cert.pos_closed, cert.neg_closed) == (pos and neg, pos, neg)
                 assert cert.tail_floor == floor
+
+
+def per_power_mcshane(ext, h):
+    """eval_with_certificate as one product and one norm per n: the loop
+    the two-ray evaluation replaced, kept as its reference."""
+    norm_exact = ext.ctx.norm_exact
+    p, q = ext.c.numerator, ext.c.denominator
+    nh = Fraction(norm_exact(h))
+    best_q = q * nh
+    for n in range(1, ext.window + 1):
+        for signed in (n, -n):
+            term = p * signed + q * Fraction(norm_exact(h * ext.g ** -signed))
+            if term < best_q:
+                best_q = term
+    best = Fraction(best_q, q)
+    w1 = ext.window + 1
+    pos_closed = ext.c * w1 > best
+    neg_closed = (ext.tail_floor - ext.c) * w1 - nh > best
+    return best, (pos_closed and neg_closed, pos_closed, neg_closed)
+
+
+def _free_words(rank, max_size):
+    return st.lists(st.tuples(st.integers(1, rank), st.sampled_from((1, -1))),
+                    max_size=max_size).map(lambda letters: FreeWord(rank, letters))
+
+
+# (context, g, h): g conjugated by a free word is not cyclically reduced;
+# lattice and Heisenberg contexts take the one-product-a-step ray
+MCSHANE_CASES = {
+    "free": st.tuples(_free_words(2, 2), _free_words(2, 3), _free_words(2, 5)).filter(
+        lambda t: not t[1].is_identity()).map(
+        lambda t: (F2, conjugate(t[1], t[0]), t[2])),
+    "free-rank-3": st.tuples(_free_words(3, 3), _free_words(3, 4)).filter(
+        lambda t: not t[0].is_identity()).map(
+        lambda t: (free_cancellation_context(3), t[0], t[1])),
+    "lattice": st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                         st.tuples(st.integers(-5, 5), st.integers(-5, 5))).filter(
+        lambda t: t[0] != (0, 0)).map(
+        lambda t: (Z2, LatticeVector(t[0]), LatticeVector(t[1]))),
+    "heisenberg": st.tuples(st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 2)]),
+                            st.tuples(*[st.integers(-3, 3)] * 3)).map(
+        lambda t: (heisenberg_context(), Heisenberg(*t[0]), Heisenberg(*t[1]))),
+}
+
+
+class TestMcShaneAgainstThePerPowerLoop:
+    @pytest.mark.parametrize("kind", sorted(MCSHANE_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), window=st.integers(2, 8),
+           scale=st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)]))
+    def test_same_value_and_certificate(self, kind, data, window, scale):
+        ctx, g, h = data.draw(MCSHANE_CASES[kind])
+        ratio = min(Fraction(ctx.norm_exact(g ** n), n) for n in range(1, window + 1))
+        assume(ratio > 0)
+        if data.draw(st.booleans()):
+            h = g ** data.draw(st.integers(-window, window))
+        ext = mcshane_extend(ctx, g, ratio * scale, window)
+        value, cert = ext.eval_with_certificate(h)
+        best, flags = per_power_mcshane(ext, h)
+        assert type(value) is Fraction and value == best
+        assert (cert.exact, cert.pos_closed, cert.neg_closed) == flags
 
 
 class TestDetectUndistorted:
