@@ -19,7 +19,6 @@ approximated.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -229,7 +228,9 @@ def cancellation_norm(w: FreeWord) -> int:
     """
     if not isinstance(w, FreeWord):
         raise FamilyMismatchError("cancellation norm is defined on free words")
-    return kernels.cancellation_dp(w.codes())
+    codes = w.codes()
+    _check_letters(codes)
+    return kernels.cancellation_dp(codes)
 
 
 def heisenberg_conjugacy_norm(g: Heisenberg) -> tuple[NormInterval, tuple[Heisenberg, ...]]:
@@ -338,23 +339,20 @@ class BfsBall:
         return None
 
 
-def _conjugates(gens: Iterable[GroupElement], conjugators: Iterable[GroupElement]) -> set[GroupElement]:
-    """Every x^-1 s^±1 x."""
-    signed = [t for s in gens for t in (s, s.inverse())]
-    return {conjugate(t, x) for x in conjugators for t in signed}
-
-
-def _conjugacy_orbit(gens: Iterable[GroupElement],
-                     conjugators: Sequence[GroupElement]) -> set[GroupElement]:
-    """Every conjugate of every s^±1 by the finite group that ``conjugators``
-    generate: the closure of the signed generators under conjugation by
-    each of them, grown until a round adds nothing."""
+def _conjugacy_orbit(gens: Iterable[GroupElement], conjugators: Sequence[GroupElement],
+                     rounds: float = math.inf) -> set[GroupElement]:
+    """Every x^-1 s^±1 x with x a product of at most ``rounds`` of the
+    ``conjugators`` (an inverse-closed list): the signed generators
+    conjugated by each conjugator, round after round, each round taking
+    only what the last one added.  Unbounded, it stops when a round adds
+    nothing, so ``conjugators`` must generate a finite group."""
     orbit = {t for s in gens for t in (s, s.inverse())}
     frontier = list(orbit)
-    while frontier:
+    while frontier and rounds > 0:
         found = {conjugate(t, x) for t in frontier for x in conjugators}
         frontier = list(found - orbit)
         orbit |= found
+        rounds -= 1
     return orbit
 
 
@@ -409,19 +407,16 @@ def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> set[GroupEle
     if ctx.family == "free":
         # reduced words of length <= L in rank r: 1 + sum_{i<L} 2r (2r-1)^i
         _charge(ctx, 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len_max)))
-        conjugators = all_reduced_words(ctx.rank, conj_len_max)
     elif ctx.family == "heisenberg":
         # conjugation by (p,q,r) depends only on (p,q), so the 2L^2 + 2L + 1
         # words a^p b^q with |p|+|q| <= L = conj_len_max cover the whole ball
         _charge(ctx, 2 * conj_len_max * conj_len_max + 2 * conj_len_max + 1)
-        conjugators = [
-            (HEISENBERG_A ** p) * (HEISENBERG_B ** q)
-            for p in range(-conj_len_max, conj_len_max + 1)
-            for q in range(-conj_len_max + abs(p), conj_len_max - abs(p) + 1)
-        ]
     else:
         raise NormError(f"no conjugate enumeration for family {ctx.family!r}")
-    return _conjugates(gens.elements, conjugators)
+    # L rounds by the signed letters conjugate by every word of <= L letters
+    letters = [t for s in standard_generators(ctx.family, ctx.rank).elements
+               for t in (s, s.inverse())]
+    return _conjugacy_orbit(gens.elements, letters, conj_len_max)
 
 
 def _charge(ctx: "GroupContext", count: int) -> None:
@@ -521,14 +516,19 @@ NORM_MEMO_CAP = 4096
 MAX_LETTERS = 4096
 
 
-def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
-    """The memo's miss path: ``kernels.prefix_norms(codes)``, stored under the
-    codes the kernel ran on.  A row is a function of its codes alone, so
-    every reader of ``ctx._norm_memo.get(codes)`` may share it."""
+def _check_letters(codes: tuple[int, ...]) -> None:
+    """Raise BudgetError when the kernel would run on over ``MAX_LETTERS``."""
     if len(codes) > MAX_LETTERS:
         raise BudgetError(
             f"a {len(codes)}-letter word is over the {MAX_LETTERS}-letter kernel cap"
         )
+
+
+def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The memo's miss path: ``kernels.prefix_norms(codes)``, stored under the
+    codes the kernel ran on.  A row is a function of its codes alone, so
+    every reader of ``ctx._norm_memo.get(codes)`` may share it."""
+    _check_letters(codes)
     row = kernels.prefix_norms(codes)
     if len(ctx._norm_memo) >= NORM_MEMO_CAP:
         ctx._norm_memo.clear()
@@ -538,8 +538,6 @@ def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
 
 def _cancellation_dp_norm(ctx: "GroupContext", g: FreeWord) -> NormInterval:
     """The cancellation norm: the last entry of the reduced word's row."""
-    if g.rank != ctx.rank:
-        raise FamilyMismatchError("rank mismatch with context")
     codes = g.codes()
     row = ctx._norm_memo.get(codes) or _kernel_row(ctx, codes)
     return _exact_interval(row[-1])
@@ -549,8 +547,6 @@ def _cancellation_dp_ray(ctx: "GroupContext", h: FreeWord, g: FreeWord,
                          count: int) -> list[int]:
     """||h g^n|| for n = 0..count: entry |h| + n|g| of the row of the plain,
     unreduced codes of h g^count."""
-    if h.rank != ctx.rank or g.rank != ctx.rank:
-        raise FamilyMismatchError("rank mismatch with context")
     head, step = h.codes(), g.codes()
     codes = head + step * count
     row = ctx._norm_memo.get(codes) or _kernel_row(ctx, codes)
@@ -569,7 +565,8 @@ class Backend(NamedTuple):
     evaluates (``"standard"``: its family's, or a kind; ``None``: any),
     ``evaluate(ctx, g)``, which calls this module's functions as globals,
     and ``ray(ctx, h, g, count)``, the norms ``||h g^n||`` for n = 0..count
-    when the backend has a faster way than one product and one norm a step."""
+    when the backend has a faster way than one product and one norm a step.
+    Both take elements the context has already checked as members."""
 
     family: str | None
     generators: str | None
@@ -577,25 +574,13 @@ class Backend(NamedTuple):
     ray: Callable[["GroupContext", GroupElement, GroupElement, int], list] | None = None
 
 
-def _member_norm(evaluate: Callable[["GroupContext", GroupElement], NormInterval]):
-    """``evaluate`` behind the context's membership check, for the backends
-    that serve permutations or lattice vectors; a free word's rank is
-    checked by the free evaluators themselves."""
-    def checked(ctx: "GroupContext", g: GroupElement) -> NormInterval:
-        ctx.check_member(g)
-        return evaluate(ctx, g)
-    return checked
-
-
 BACKENDS: dict[str, Backend] = {
-    "bfs": Backend(None, None, _member_norm(
-        lambda ctx, g: bfs_word_norm(ctx, g, ctx.bfs_max_radius))),
-    "transposition-closed-form": Backend("perm", "standard", _member_norm(
-        lambda ctx, g: NormInterval.exact_value(transposition_norm(g)))),
+    "bfs": Backend(None, None, lambda ctx, g: bfs_word_norm(ctx, g, ctx.bfs_max_radius)),
+    "transposition-closed-form": Backend(
+        "perm", "standard", lambda ctx, g: NormInterval.exact_value(transposition_norm(g))),
     "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm, _cancellation_dp_ray),
-    "l1": Backend("lattice", "standard", _member_norm(
-        lambda ctx, g: NormInterval.exact_value(l1_norm(g)))),
-    "bounded-search": Backend(None, "normal-closure", _member_norm(_bounded_search_norm)),
+    "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
+    "bounded-search": Backend(None, "normal-closure", _bounded_search_norm),
     "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: commutator_length_bounds(
         g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
 }
@@ -663,23 +648,34 @@ class GroupContext:
         return g
 
     def check_member(self, g: GroupElement, text: str | None = None) -> None:
-        """Reject an element of another family, a lattice vector of another
-        dimension or a permutation moving a point beyond the degree
-        (``text`` names g in the error, its encoding by default)."""
-        if g.family != self.family:
+        """Reject an element of another family, a free word of another rank,
+        a lattice vector of another dimension or a permutation moving a
+        point beyond the degree (``text`` names g in the error, its encoding
+        by default).  The one membership check of the norm path: ``norm``
+        and ``ray_norms`` call it before any backend sees g."""
+        family = self.family
+        if g.family != family:
             raise FamilyMismatchError(
-                f"{g.family} element {text or g.encode()!r} in a {self.family} context"
+                f"{g.family} element {text or g.encode()!r} in a {family} context"
             )
-        if self.family == "lattice" and g.dim != self.dim:
-            raise FamilyMismatchError(
-                f"lattice vector {text or g.encode()!r} has dimension {g.dim}, "
-                f"context has {self.dim}"
-            )
-        if self.family == "perm" and len(g.images()) > self.degree:
-            raise FamilyMismatchError(
-                f"permutation {text or g.encode()!r} moves {len(g.images())}, "
-                f"beyond degree {self.degree}"
-            )
+        if family == "free":
+            if g.rank != self.rank:
+                # named by rank alone: a word of rank over 26 has no encoding
+                raise FamilyMismatchError(
+                    f"free word of rank {g.rank} in a rank {self.rank} context"
+                )
+        elif family == "lattice":
+            if g.dim != self.dim:
+                raise FamilyMismatchError(
+                    f"lattice vector {text or g.encode()!r} has dimension {g.dim}, "
+                    f"context has {self.dim}"
+                )
+        elif family == "perm":
+            if len(g.images()) > self.degree:
+                raise FamilyMismatchError(
+                    f"permutation {text or g.encode()!r} moves {len(g.images())}, "
+                    f"beyond degree {self.degree}"
+                )
 
     def describe(self) -> str:
         key = FAMILIES[self.family].size_key
@@ -700,6 +696,7 @@ class GroupContext:
         return self._ball
 
     def norm(self, g: GroupElement) -> NormInterval:
+        self.check_member(g)
         return BACKENDS[self.backend].evaluate(self, g)
 
     def norm_exact(self, g: GroupElement):
@@ -712,6 +709,8 @@ class GroupContext:
         """||h g^n|| for n = 0..count.  The cancellation-DP backend reads them
         off one memoised kernel row; every other backend makes one product
         and one exact norm per step."""
+        self.check_member(h)
+        self.check_member(g)
         ray = BACKENDS[self.backend].ray
         if ray is not None:
             return ray(self, h, g, count)
@@ -843,42 +842,3 @@ def check_conjugation_invariance(
             worst = gap
             worst_pair = (g.encode(), h.encode())
     return InvarianceReport(count, worst, worst_pair, non_exact)
-
-
-# ---------------------------------------------------------------------------
-# norm tables (CSV persistence)
-
-
-def save_norm_table(ctx: GroupContext, elements: Sequence[GroupElement], path) -> None:
-    """Persist (element, norm bounds, exact flag) keyed by the context descriptor."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# context: {ctx.describe()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["element", "lower", "upper", "exact"])
-        for g in elements:
-            iv = ctx.norm(g)
-            writer.writerow([g.encode(), repr(iv.lower), repr(iv.upper), int(iv.exact)])
-
-
-def load_norm_table(path) -> tuple[str, dict[str, NormInterval]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# context: "):
-            raise NormError(f"missing context header in {path}")
-        descriptor = header[len("# context: "):]
-        reader = csv.reader(fh)
-        names = next(reader)
-        if names != ["element", "lower", "upper", "exact"]:
-            raise NormError(f"unexpected norm-table columns {names}")
-        rows = {}
-        for enc, lo, up, exact in reader:
-            rows[enc] = NormInterval(_parse_bound(lo), _parse_bound(up), bool(int(exact)))
-    return descriptor, rows
-
-
-def _parse_bound(text: str):
-    """Read back a bound written by ``save_norm_table``: int, float or inf."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)

@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +42,6 @@ from binorms.norms import (
     in_commutator_subgroup,
     l1_norm,
     lattice_context,
-    load_norm_table,
-    save_norm_table,
     standard_generators,
     symmetric_transposition_context,
     transposition_norm,
@@ -315,6 +316,15 @@ class TestCancellationNorm:
             for y in all_reduced_words(2, 2):
                 assert cancellation_norm(conjugate(w, y)) == base
 
+    def test_kernel_letter_cap_without_a_context(self, monkeypatch):
+        monkeypatch.setattr(norms, "MAX_LETTERS", 4)
+        assert cancellation_norm(A ** 4) == 4
+        with pytest.raises(BudgetError, match="5-letter word is over the 4-letter"):
+            cancellation_norm(A ** 5)
+        # the free lower bound of the product search is the same kernel call
+        with pytest.raises(BudgetError):
+            conjugate_product_search(free_cancellation_context(2), A ** 5, 1, 1)
+
 
 # (context, element strategy): an infinite-order family with the
 # cancellation DP, a finite group, and an abelian one
@@ -404,17 +414,41 @@ class TestRayNorms:
         assert list(ctx._norm_memo) == [(A ** 6).codes()]
 
 
+R3_COMMUTATOR = FreeWord.parse("a^-1 c^-1 a c", 3)
+
+
 class TestMembership:
+    """``GroupContext.norm`` and ``ray_norms`` check every element against
+    the context, for every backend, before the backend sees it."""
+
     @pytest.mark.parametrize("ctx, g", [
         (symmetric_transposition_context(5), Permutation.parse("(1 9)")),
         (transposition_ctx(5), Permutation.parse("(1 9)")),
         (lattice_context(2), LatticeVector((1, 2, 3))),
         (lattice_context(2), Permutation.parse("(1 2)")),
         (heisenberg_context(), LatticeVector((1, 2))),
+        *(pytest.param(ctx, g, id=f"{ctx.backend}-{g.family}-rank-{g.rank}")
+          for ctx in (free_cancellation_context(2), commutator_length_context(2),
+                      GroupContext("free", GeneratingSet.explicit_symmetrized([A, B]), "bfs",
+                                   bfs_max_radius=4),
+                      GroupContext("free", standard_generators("free"), "bounded-search",
+                                   search_k_max=2, search_conj_len=2))
+          for g in (R3_COMMUTATOR, FreeWord.generator(1, 1), FreeWord.generator(30, 1))),
+        pytest.param(free_cancellation_context(2), Permutation.parse("(1 2)"),
+                     id="cancellation-dp-perm"),
+        pytest.param(commutator_length_context(2), Permutation.parse("(1 2)"), id="cl-bounds-perm"),
     ])
     def test_norm_refuses_an_element_outside_the_context(self, ctx, g):
         with pytest.raises(FamilyMismatchError):
             ctx.norm(g)
+
+    @pytest.mark.parametrize("outside", [Permutation.parse("(1 2)"), R3_COMMUTATOR])
+    def test_dp_ray_refuses_either_end(self, outside):
+        ctx = free_cancellation_context(2)
+        for h, g in ((outside, A), (A, outside)):
+            with pytest.raises(FamilyMismatchError):
+                ctx.ray_norms(h, g, 2)
+        assert not ctx._norm_memo
 
 
 class TestNormMemo:
@@ -745,33 +779,116 @@ def test_lower_bound_for_a_generator_image_that_is_not_a_unit():
     assert ctx.norm(A ** 4) == NormInterval(2, 2, True)
 
 
-def test_norm_table_round_trip(tmp_path):
-    ctx = free_cancellation_context(2)
-    elements = all_reduced_words(2, 3)
-    path = tmp_path / "table.csv"
-    save_norm_table(ctx, elements, path)
-    descriptor, rows = load_norm_table(path)
-    assert descriptor == ctx.describe()
-    for g in elements:
-        iv = ctx.norm(g)
-        loaded = rows[g.encode()]
-        assert (loaded.lower, loaded.upper, loaded.exact) == (iv.lower, iv.upper, iv.exact)
+
+def _conjugator_ball_conjugates(ctx, conj_len_max):
+    """Every x^-1 s^±1 x with x in the conjugator ball: all reduced words of
+    at most L letters, or the Heisenberg words a^p b^q with |p| + |q| <= L."""
+    if ctx.family == "free":
+        conjugators = all_reduced_words(ctx.rank, conj_len_max)
+    else:
+        conjugators = [HA ** p * HB ** q for p in range(-conj_len_max, conj_len_max + 1)
+                       for q in range(-conj_len_max + abs(p), conj_len_max - abs(p) + 1)]
+    return {conjugate(t, x) for x in conjugators
+            for s in ctx.generators.elements for t in (s, s.inverse())}
 
 
-def test_norm_table_round_trip_keeps_floats_and_infinity(tmp_path, monkeypatch):
-    ctx = heisenberg_context()
-    table = {
-        "H(1,0,0)": NormInterval.exact_value(1),
-        "H(0,0,1)": NormInterval(0.5, 1e20, False),
-        "H(2,0,0)": NormInterval(2, math.inf, False),
-        "H(0,3,0)": NormInterval(1.5, 3, False),
-    }
-    monkeypatch.setattr(ctx, "norm", lambda g: table[g.encode()])
-    path = tmp_path / "table.csv"
-    save_norm_table(ctx, [ctx.decode(enc) for enc in table], path)
-    assert "1e+20" in path.read_text(encoding="utf-8")
-    _, rows = load_norm_table(path)
-    assert rows == table
-    for enc, iv in table.items():
-        assert type(rows[enc].lower) is type(iv.lower)
-        assert type(rows[enc].upper) is type(iv.upper)
+def _closures(rank):
+    a, b = FreeWord.generator(rank, 1), FreeWord.generator(rank, rank)
+    return [standard_generators("free", rank), GeneratingSet.normal_closure((a * a,)),
+            GeneratingSet.normal_closure((a * b.inverse() * a,))]
+
+
+@pytest.mark.parametrize("ctx, conj_len_max", [
+    *((GroupContext("free", gens, "bounded-search", rank=rank), length)
+      for rank in (1, 2, 3) for gens in _closures(rank) for length in range(4)),
+    *((GroupContext("heisenberg", GeneratingSet.normal_closure(elements), "bounded-search"), length)
+      for elements in ((HA, HB), (HA,), (HB.inverse(),), (HA * HB,), (Heisenberg(0, 0, 1),))
+      for length in range(7)),
+])
+def test_bounded_orbit_is_the_conjugator_ball(ctx, conj_len_max):
+    assert enumerate_conjugates(ctx, conj_len_max) == _conjugator_ball_conjugates(ctx, conj_len_max)
+
+
+# ---------------------------------------------------------------------------
+# the norm axioms on one small context per backend
+
+
+def _commutator_words():
+    short = all_reduced_words(2, 2)
+    return sorted({c for u in short for v in short if not (c := commutator(u, v)).is_identity()},
+                  key=lambda w: w.encode())
+
+
+FREE_WORDS = POWER_CASES["free"][1]
+S4 = POWER_CASES["perm"][1]
+Z2_SMALL = POWER_CASES["lattice"][1]
+HEIS_SMALL = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)).map(
+    lambda xyz: Heisenberg(*xyz))
+S4_BFS = transposition_ctx(4)
+
+
+class AxiomCase(NamedTuple):
+    ctx: GroupContext
+    elements: st.SearchStrategy
+    conjugators: st.SearchStrategy
+    bfs: GroupContext | None  # the BFS ball the norm must agree with
+
+
+AXIOM_CASES = {
+    "bfs": AxiomCase(S4_BFS, S4, S4, None),
+    "transposition-closed-form": AxiomCase(symmetric_transposition_context(4), S4, S4, S4_BFS),
+    "cancellation-dp": AxiomCase(free_cancellation_context(2), FREE_WORDS, FREE_WORDS, None),
+    "l1": AxiomCase(lattice_context(2), Z2_SMALL, Z2_SMALL,
+                    GroupContext("lattice", standard_generators("lattice"), "bfs")),
+    "bounded-search-heisenberg": AxiomCase(heisenberg_context(), HEIS_SMALL, HEIS_SMALL, None),
+    "bounded-search-perm": AxiomCase(
+        GroupContext("perm", standard_generators("perm"), "bounded-search", degree=4,
+                     search_k_max=4, search_conj_len=1), S4, S4, S4_BFS),
+    "cl-bounds": AxiomCase(
+        commutator_length_context(2, search_k_max=2),
+        st.lists(st.sampled_from(_commutator_words()), min_size=1, max_size=2).map(
+            lambda cs: functools.reduce(operator.mul, cs)),
+        FREE_WORDS, None),
+}
+
+
+def test_axiom_cases_cover_every_backend():
+    assert {case.ctx.backend for case in AXIOM_CASES.values()} == set(norms.BACKENDS)
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_norm_axioms_per_backend(name, data):
+    """Certified forms of the axioms, which hold for intervals too: 0 exactly
+    at the identity, ||g^-1|| = ||g||, ||gh|| <= ||g|| + ||h|| and, since every
+    set here is normal, no certified gap between ||g|| and ||x^-1 g x||."""
+    ctx, elements, conjugators, bfs = AXIOM_CASES[name]
+    g, h, x = data.draw(elements), data.draw(elements), data.draw(conjugators)
+    ng = ctx.norm(g)
+    assert (ng == NormInterval.exact_value(0)) == g.is_identity()
+    assert ng.lower > 0 or g.is_identity()
+    assert ctx.norm(g.inverse()) == ng
+    assert ctx.norm(g * h).lower <= ng.upper + ctx.norm(h).upper
+    assert check_conjugation_invariance(ctx, [(g, x)]).max_discrepancy == 0
+    if bfs is not None:  # S4's diameter 3 is within reach of the search
+        assert ng.lower <= bfs.norm_exact(g) == ng.upper
+
+
+def test_lattice_normal_closure_enumerates_its_signed_elements():
+    # conjugation is trivial in Z^2, so the closure of (1, 1) is (1, 1) and its inverse
+    ctx = GroupContext("lattice", GeneratingSet.normal_closure((LatticeVector((1, 1)),)), "bfs",
+                       bfs_max_radius=4)
+    assert norms.enumerate_effective_generators(ctx) == {LatticeVector((1, 1)),
+                                                         LatticeVector((-1, -1))}
+    assert ctx.norm_exact(LatticeVector((-3, -3))) == 3
+    assert ctx.norm(LatticeVector((1, 0))) == NormInterval(5, math.inf, False)
+
+
+def test_all_commutators_sample_is_seeded_commutators_of_short_words():
+    ctx = commutator_length_context(2)
+    sample = ctx.generator_sample(seed=4, count=12)
+    assert sample == ctx.generator_sample(seed=4, count=12)
+    assert len(sample) == 12 and set(sample) <= set(_commutator_words())
+    for c in sample:
+        assert ctx.norm(c) == NormInterval.exact_value(1)
