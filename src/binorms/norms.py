@@ -287,9 +287,10 @@ class BfsBall:
     """Distance table of a Cayley-graph ball, built level by level.
 
     Generators are deduplicated and sorted by encoding, and each level is
-    expanded in the order of the one before, so the table is deterministic;
-    a ball that would outgrow ``memory_cap`` elements is marked truncated.
-    Construction is single-writer and reads afterwards are safe to share.
+    expanded in the order of the one before, so the table is deterministic.
+    A level that would outgrow ``memory_cap`` elements marks the ball
+    truncated and leaves ``radius`` and the frontier at the last complete
+    level, so a shared ball answers each query as a fresh one would.
     """
 
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
@@ -311,7 +312,6 @@ class BfsBall:
                     if candidate not in self.distances:
                         if len(self.distances) >= self.memory_cap:
                             self.truncated = True
-                            self._frontier = []
                             return
                         self.distances[candidate] = self.radius + 1
                         nxt.append(candidate)
@@ -320,18 +320,19 @@ class BfsBall:
 
     def distance(self, g: GroupElement, k_max: int) -> int | None:
         """The least k <= k_max with g a product of k generators; None when
-        there is none, or when the cap truncated the ball first.
+        there is none, or when the cap stops the ball first.
 
         Level k is tested by lookup before it is built (g is on it iff
         e^-1 g is a generator for some e on level k-1), so level k_max is
-        never built, and a ball already grown past k just reads its table.
+        never built, a ball already grown past k just reads its table, and
+        a truncated ball still tests the level after its last complete one.
         """
         found = self.distances.get(g)
         if found is not None:
             return found if found <= k_max else None
         for k in range(self.radius + 1, k_max + 1):
-            if not self._frontier:  # the group is exhausted or the ball truncated
-                return None
+            if k > self.radius + 1 or not self._frontier:
+                return None  # the cap stopped level k - 1, or the group is exhausted
             if any(e.inverse() * g in self._generator_set for e in self._frontier):
                 return k
             if k < k_max:
@@ -379,16 +380,16 @@ def enumerate_effective_generators(ctx: "GroupContext") -> set[GroupElement]:
 def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> NormInterval:
     """Exact word norm via breadth-first search, if found within max_radius.
 
-    Returns ``(max_radius+1, inf, exact=False)`` when the ball does not
-    reach g (or the memory cap was hit first).
+    Otherwise ``[max_radius + 1, inf]``, or on a truncated ball
+    ``[min(radius + 2, max_radius + 1), inf]``: every level up to its
+    ``radius`` is complete and the next was tested by lookup.
     """
-    ball = ctx.bfs_ball(max_radius)
-    dist = ball.distances.get(g)
+    ball = ctx.ball()
+    dist = ball.distance(g, max_radius)
     if dist is not None:
         return NormInterval.exact_value(dist)
-    if ball.truncated:
-        return NormInterval(0, math.inf, False)
-    return NormInterval(max_radius + 1, math.inf, False)
+    lower = min(ball.radius + 2, max_radius + 1) if ball.truncated else max_radius + 1
+    return NormInterval(lower, math.inf, False)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,8 @@ def conjugate_product_search(
     """Bounded search for g as a product of conjugated generators.
 
     Upper bound: least k <= k_max with g in T^k, where T enumerates the
-    conjugates x^-1 s^±1 x with ||x|| <= conj_len_max.  Lower bound from
+    conjugates x^-1 s^±1 x with ||x|| <= conj_len_max, read off the
+    context's ball over T.  Lower bound from
     abelianisation/parity obstructions; on free contexts with the standard
     normal closure, the cancellation DP supplies the definition-level lower
     bound.  A search that finds no product within k_max, or whose ball
@@ -476,8 +478,7 @@ def conjugate_product_search(
         lower = max(lower, cancellation_norm(g))
     if g.is_identity():
         return NormInterval.exact_value(0)
-    ball = BfsBall(enumerate_conjugates(ctx, conj_len_max), ctx.identity(), ctx.memory_cap)
-    return _search_interval(ball.distance(g, k_max), lower)
+    return _search_interval(ctx.ball(conj_len_max).distance(g, k_max), lower)
 
 
 def in_commutator_subgroup(w: FreeWord) -> bool:
@@ -591,9 +592,9 @@ class GroupContext:
     """A group family with a generating set and a norm backend.
 
     Owns the norm ``||.||`` and the induced metric ``d(g,h) = ||g h^-1||``.
-    Evaluators are pure; the BFS cache is grown on demand and read-only
-    between growth steps, and cancellation-DP kernel rows are memoised per
-    context by the codes the kernel ran on.
+    Evaluators are pure; each generating set's ball (``ball``) is built on
+    first use and grown by later searches, and cancellation-DP kernel rows
+    are memoised per context by the codes the kernel ran on.
     """
 
     family: str
@@ -606,7 +607,9 @@ class GroupContext:
     memory_cap: int = 500_000
     search_k_max: int = 6
     search_conj_len: int = 34
-    _ball: BfsBall | None = field(default=None, init=False, repr=False, compare=False)
+    _balls: dict[int | None, BfsBall] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _norm_memo: dict[tuple[int, ...], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -655,9 +658,10 @@ class GroupContext:
         and ``ray_norms`` call it before any backend sees g."""
         family = self.family
         if g.family != family:
-            raise FamilyMismatchError(
-                f"{g.family} element {text or g.encode()!r} in a {family} context"
-            )
+            # a free word is named by its rank: one of rank over 26 has no encoding
+            name = (f"of rank {g.rank}" if text is None and g.family == "free"
+                    else repr(text or g.encode()))
+            raise FamilyMismatchError(f"{g.family} element {name} in a {family} context")
         if family == "free":
             if g.rank != self.rank:
                 # named by rank alone: a word of rank over 26 has no encoding
@@ -685,15 +689,16 @@ class GroupContext:
 
     # -- the norm ----------------------------------------------------------
 
-    def bfs_ball(self, radius: int) -> BfsBall:
-        if self._ball is None:
-            self._ball = BfsBall(
-                enumerate_effective_generators(self),
-                self.identity(),
-                memory_cap=self.memory_cap,
-            )
-        self._ball.grow_to(radius)
-        return self._ball
+    def ball(self, conj_len: int | None = None) -> BfsBall:
+        """The context's ball, built on first use and shared by every search:
+        over the effective generators (``conj_len`` None, for ``bfs``), or
+        over the conjugates by words of at most ``conj_len`` letters."""
+        ball = self._balls.get(conj_len)
+        if ball is None:
+            gens = (enumerate_effective_generators(self) if conj_len is None
+                    else enumerate_conjugates(self, conj_len))
+            ball = self._balls[conj_len] = BfsBall(gens, self.identity(), self.memory_cap)
+        return ball
 
     def norm(self, g: GroupElement) -> NormInterval:
         self.check_member(g)

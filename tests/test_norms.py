@@ -127,7 +127,7 @@ class TestConstructionGrid:
         assert ctx.identity() == LatticeVector((0, 0, 0))
         assert heisenberg_context().identity() == Heisenberg(0, 0, 0)
         with pytest.raises(TypeError):
-            GroupContext("lattice", standard_generators("lattice"), "bfs", _ball=None)
+            GroupContext("lattice", standard_generators("lattice"), "bfs", _balls={})
 
 
 class TestStandardUpToConjugacy:
@@ -209,13 +209,38 @@ class TestBfs:
         ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs",
                            dim=2, memory_cap=10)
         iv = bfs_word_norm(ctx, LatticeVector((4, 4)), 8)
-        assert not iv.exact and iv.upper == math.inf
-        assert ctx.bfs_ball(8).truncated
+        # levels 0 and 1 are complete and level 2 was tested by lookup
+        assert iv == NormInterval(3, math.inf, False)
+        assert ctx.ball().truncated
 
     def test_transposition_norm_equals_bfs_on_s4(self):
         ctx = transposition_ctx(4)
         for p in all_permutations(4):
             assert bfs_word_norm(ctx, p, 6).require_exact() == transposition_norm(p)
+
+    @pytest.mark.parametrize("cap", [16, 30, 100, 300, 800])
+    def test_truncated_s6_intervals_are_certified(self, cap):
+        ctx = transposition_ctx(6, memory_cap=cap)
+        perms = list(all_permutations(6))
+        random.Random(cap).shuffle(perms)
+        for p in perms:
+            iv = ctx.norm(p)
+            assert iv.lower <= transposition_norm(p) <= iv.upper, p.encode()
+
+    @pytest.mark.parametrize("cap", [5, 10, 40])
+    @pytest.mark.parametrize("radius", [3, 12])
+    def test_truncated_z2_intervals_are_certified(self, cap, radius):
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs",
+                           dim=2, memory_cap=cap, bfs_max_radius=radius)
+        box = list(Z2_BOX)
+        random.Random(cap).shuffle(box)
+        for v in box:
+            iv = ctx.norm(v)
+            assert iv.lower <= l1_norm(v) <= iv.upper, v.encode()
+            # the shared ball, grown by the queries so far, certifies smaller radii too
+            for r in range(radius):
+                iv = bfs_word_norm(ctx, v, r)
+                assert iv.lower <= l1_norm(v) <= iv.upper, (v.encode(), r)
 
 
 Z2_UNITS = [LatticeVector(v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
@@ -242,12 +267,34 @@ class TestBallDistance:
     def test_truncated_ball_gives_none(self):
         ball = BfsBall(Z2_UNITS, LatticeVector((0, 0)), memory_cap=10)
         assert ball.distance(LatticeVector((4, 0)), 8) is None
-        assert ball.truncated and len(ball.distances) == 10
+        assert ball.truncated and len(ball.distances) == 10 and ball.radius == 1
         assert ball.distance(LatticeVector((1, 0)), 8) == 1
+        # a fresh ball answers 2 for each: the truncated one still tests
+        # the level after its last complete one
+        for v in ((2, 0), (1, 1), (0, 2), (-1, -1)):
+            assert ball.distance(LatticeVector(v), 2) == 2
+        assert ball.distance(LatticeVector((3, 0)), 8) is None
 
     def test_generators_deduplicated_and_sorted(self):
         ball = BfsBall(Z2_UNITS + Z2_UNITS[::-1], LatticeVector((0, 0)))
         assert ball.generators == sorted(Z2_UNITS, key=lambda e: e.encode())
+
+    @pytest.mark.parametrize("case, cap", [
+        *(("z2", cap) for cap in (5, 10, 20, 40)),
+        *(("s6", cap) for cap in (16, 30, 100, 300)),
+    ])
+    def test_shared_ball_answers_as_a_fresh_one(self, case, cap):
+        if case == "z2":
+            gens, identity, elements = Z2_UNITS, LatticeVector((0, 0)), Z2_BOX
+        else:
+            gens = norms.enumerate_effective_generators(transposition_ctx(6))
+            identity, elements = Permutation(), list(all_permutations(6))
+        rng = random.Random(f"{case}:{cap}")
+        queries = [(rng.choice(elements), rng.randint(0, 8)) for _ in range(300)]
+        shared = BfsBall(gens, identity, cap)
+        differing = [(g.encode(), k) for g, k in queries
+                     if shared.distance(g, k) != BfsBall(gens, identity, cap).distance(g, k)]
+        assert differing == []
 
 
 def _s_n_conjugates(elements, degree):
@@ -270,14 +317,16 @@ class TestPermutationClosure:
 
     @pytest.mark.parametrize("degree", [5, 6])
     def test_ball_of_s_n_is_the_closed_form(self, degree):
-        ball = transposition_ctx(degree).bfs_ball(degree)
+        ball = transposition_ctx(degree).ball()
+        ball.grow_to(degree)
         assert set(ball.distances) == set(all_permutations(degree))
         for p, d in ball.distances.items():
             assert d == transposition_norm(p)
 
     def test_truncated_s6_ball_keeps_its_table(self):
         ctx = transposition_ctx(6, memory_cap=30)
-        ball = ctx.bfs_ball(12)
+        ball = ctx.ball()
+        ball.grow_to(12)
         # which elements a capped ball keeps follows the expansion order, so pin it
         assert ball.truncated and ball.radius == 1
         assert ",".join(g.encode() for g in ball.distances) == (
@@ -286,7 +335,9 @@ class TestPermutationClosure:
             "(1 6 2),(1 2)(3 4),(1 2)(3 5),(1 2)(3 6),(1 2)(4 5),(1 2)(4 6),(1 2)(5 6)"
         )
         assert list(ball.distances.values()) == [0] + [1] * 15 + [2] * 14
-        assert ctx.norm(Permutation.from_cycles([(4, 6, 5)])) == NormInterval(0, math.inf, False)
+        # the ball keeps level 1 as its frontier, so level 2 is still tested
+        # by lookup: (4 6 5) is exact although the table stops short of it
+        assert ctx.norm_exact(Permutation.from_cycles([(4, 6, 5)])) == 2
         assert ctx.norm_exact(Permutation.from_cycles([(1, 3, 2)])) == 2
 
 
@@ -437,6 +488,10 @@ class TestMembership:
         pytest.param(free_cancellation_context(2), Permutation.parse("(1 2)"),
                      id="cancellation-dp-perm"),
         pytest.param(commutator_length_context(2), Permutation.parse("(1 2)"), id="cl-bounds-perm"),
+        # a free word of rank over 26 has no encoding to name it by
+        *(pytest.param(ctx, FreeWord.generator(30, 1), id=f"{ctx.family}-free-rank-30")
+          for ctx in (symmetric_transposition_context(5), lattice_context(2),
+                      heisenberg_context())),
     ])
     def test_norm_refuses_an_element_outside_the_context(self, ctx, g):
         with pytest.raises(FamilyMismatchError):
@@ -767,6 +822,30 @@ def test_heisenberg_conjugators_counted_against_the_memory_cap():
     fits = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
                         search_conj_len=20, memory_cap=841)
     assert fits.norm(HA).require_exact() == 1
+
+
+def test_bounded_search_keeps_one_ball_per_conjugator_length(monkeypatch):
+    built = []
+    init = BfsBall.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(BfsBall, "__init__", counted)
+    gens = GeneratingSet.normal_closure((conjugate(A, B), B.inverse()))
+    words = all_reduced_words(2, 3)
+    assert len(words) == 53
+    shared = GroupContext("free", gens, "bounded-search", search_conj_len=2)
+    answers = [shared.norm(w) for w in words]
+    assert len(built) == 1
+    assert answers == [GroupContext("free", gens, "bounded-search", search_conj_len=2).norm(w)
+                       for w in words]
+    # one per fresh context, but the identity's, which needs no ball
+    assert len(built) == len(words)
+    # another conjugator length is another ball, kept beside the first
+    assert conjugate_product_search(shared, A, 2, 1) == NormInterval.exact_value(1)
+    assert shared.ball(1) is not shared.ball(2) and len(built) == 1 + len(words)
 
 
 def test_lower_bound_for_a_generator_image_that_is_not_a_unit():
