@@ -24,7 +24,6 @@ from .norms import (
     bfs_word_norm,
     cancellation_norm,
     check_conjugation_invariance,
-    commutator_length_bounds,
     conjugate_product_search,
     free_cancellation_context,
     heisenberg_context,

@@ -462,17 +462,14 @@ def _run_extend(spec: JobSpec, ctx: GroupContext, seed: int):
     params = spec.params
     window = _window(spec)
     g = ctx.decode(params["element"])
-    if "c" in params:
-        c = Fraction(params["c"])
-    else:
-        c = min(Fraction(norm) / m for m, _, norm in ctx.power_norms(g, window))
+    c = Fraction(params["c"]) if "c" in params else None
     ext = pqm_mod.mcshane_extend(ctx, g, c, window)
     rows = []
     for enc in params["at"].split(";"):
         value, cert = ext.eval_with_certificate(ctx.decode(enc.strip()))
         rows.append(dict(
             quantity="extension",
-            inputs=f"element={params['element']};at={enc.strip()};c={format_number(c)}",
+            inputs=f"element={params['element']};at={enc.strip()};c={format_number(ext.c)}",
             value=format_number(value), exact=str(int(cert.exact)), window=str(window),
         ))
     return rows, []

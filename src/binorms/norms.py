@@ -357,8 +357,20 @@ def _conjugacy_orbit(gens: Iterable[GroupElement], conjugators: Sequence[GroupEl
     return orbit
 
 
-def enumerate_effective_generators(ctx: "GroupContext") -> set[GroupElement]:
-    """The finite effective generating set for BFS, or raise NormError."""
+def _charge(ctx: "GroupContext", count: int) -> None:
+    """Raise BudgetError when ``count`` conjugators exceed the memory cap."""
+    if count > ctx.memory_cap:
+        raise BudgetError(f"{count} conjugators exceed memory_cap {ctx.memory_cap}")
+
+
+def enumerate_effective_generators(ctx: "GroupContext",
+                                   conj_len: int | None = None) -> set[GroupElement]:
+    """The finite generating set a ball search walks: an explicit list, a
+    ``perm`` or ``lattice`` closure, the conjugates x^-1 s^±1 x of a
+    ``free`` or ``heisenberg`` closure by words x of at most ``conj_len``
+    letters, or the commutators [u, v] with |u|, |v| <= ``conj_len``.
+    The last two raise NormError without a ``conj_len``; the conjugators of
+    a closure are counted against ``ctx.memory_cap`` before any is built."""
     gens = ctx.generators
     if gens.kind == "explicit":
         return set(gens.elements)
@@ -370,11 +382,26 @@ def enumerate_effective_generators(ctx: "GroupContext") -> set[GroupElement]:
         if ctx.family == "lattice":
             # conjugation is trivial in an abelian group
             return _conjugacy_orbit(gens.elements, ())
-        raise NormError(
-            f"normal closure is not enumerable for family {ctx.family!r}; "
-            "use the dedicated backend"
-        )
-    raise NormError(f"generating set {gens.kind!r} is not enumerable")
+        if conj_len is None:
+            raise NormError(
+                f"normal closure is not enumerable for family {ctx.family!r}; "
+                "use the dedicated backend"
+            )
+        if ctx.family == "free":
+            # reduced words of length <= L in rank r: 1 + sum_{i<L} 2r (2r-1)^i
+            _charge(ctx, 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len)))
+        else:
+            # conjugation by (p,q,r) depends only on (p,q), so the 2L^2 + 2L + 1
+            # words a^p b^q with |p|+|q| <= L = conj_len cover the whole ball
+            _charge(ctx, 2 * conj_len * conj_len + 2 * conj_len + 1)
+        # L rounds by the signed letters conjugate by every word of <= L letters
+        letters = [t for s in standard_generators(ctx.family, ctx.rank).elements
+                   for t in (s, s.inverse())]
+        return _conjugacy_orbit(gens.elements, letters, conj_len)
+    if conj_len is None:
+        raise NormError(f"generating set {gens.kind!r} is not enumerable")
+    words = all_reduced_words(ctx.rank, conj_len)
+    return {c for u in words for v in words if not (c := commutator(u, v)).is_identity()}
 
 
 def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> NormInterval:
@@ -394,36 +421,6 @@ def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> Norm
 
 # ---------------------------------------------------------------------------
 # bounded searches
-
-
-def enumerate_conjugates(ctx: "GroupContext", conj_len_max: int) -> set[GroupElement]:
-    """Conjugated generators x^-1 s^±1 x with the conjugator x ranging over
-    a ball of radius conj_len_max in the ambient standard word metric; more
-    than ``ctx.memory_cap`` conjugators raise BudgetError before any is built."""
-    gens = ctx.generators
-    if gens.kind != "normal-closure":
-        raise NormError("conjugate enumeration requires a normal-closure descriptor")
-    if ctx.family in ("perm", "lattice"):
-        return enumerate_effective_generators(ctx)
-    if ctx.family == "free":
-        # reduced words of length <= L in rank r: 1 + sum_{i<L} 2r (2r-1)^i
-        _charge(ctx, 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len_max)))
-    elif ctx.family == "heisenberg":
-        # conjugation by (p,q,r) depends only on (p,q), so the 2L^2 + 2L + 1
-        # words a^p b^q with |p|+|q| <= L = conj_len_max cover the whole ball
-        _charge(ctx, 2 * conj_len_max * conj_len_max + 2 * conj_len_max + 1)
-    else:
-        raise NormError(f"no conjugate enumeration for family {ctx.family!r}")
-    # L rounds by the signed letters conjugate by every word of <= L letters
-    letters = [t for s in standard_generators(ctx.family, ctx.rank).elements
-               for t in (s, s.inverse())]
-    return _conjugacy_orbit(gens.elements, letters, conj_len_max)
-
-
-def _charge(ctx: "GroupContext", count: int) -> None:
-    """Raise BudgetError when ``count`` conjugators exceed the memory cap."""
-    if count > ctx.memory_cap:
-        raise BudgetError(f"{count} conjugators exceed memory_cap {ctx.memory_cap}")
 
 
 def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
@@ -460,19 +457,23 @@ def conjugate_product_search(
     k_max: int,
     conj_len_max: int,
 ) -> NormInterval:
-    """Bounded search for g as a product of conjugated generators.
+    """Bounded search for g as a product of the context's generators.
 
-    Upper bound: least k <= k_max with g in T^k, where T enumerates the
-    conjugates x^-1 s^±1 x with ||x|| <= conj_len_max, read off the
-    context's ball over T.  Lower bound from
-    abelianisation/parity obstructions; on free contexts with the standard
-    normal closure, the cancellation DP supplies the definition-level lower
-    bound.  A search that finds no product within k_max, or whose ball
-    outgrows ``ctx.memory_cap``, is reported as a non-exact interval, not a
-    failure.
+    Upper bound: least k <= k_max with g in T^k, read off the context's
+    ball over T: the conjugates x^-1 s^±1 x with ||x|| <= conj_len_max of a
+    normal closure, or the commutators [u, v] with |u|, |v| <= conj_len_max
+    of ``all-commutators``.  Lower bound from abelianisation/parity
+    obstructions, which is 1 for a nontrivial commutator; on free contexts
+    with the standard normal closure, the cancellation DP supplies the
+    definition-level lower bound.  A search that finds no product within
+    k_max, or whose ball outgrows its cap, is reported as a non-exact
+    interval, not a failure.
     """
-    if ctx.generators.kind != "normal-closure":
+    kind = ctx.generators.kind
+    if kind == "explicit":
         raise NormError("conjugate_product_search requires a normal-closure context")
+    if kind == "all-commutators" and not in_commutator_subgroup(g):
+        raise NormError(f"{g.encode()!r} is not in the commutator subgroup")
     lower = _abelianisation_lower_bound(ctx, g)
     if ctx.family == "free" and ctx._standard:
         lower = max(lower, cancellation_norm(g))
@@ -485,25 +486,6 @@ def in_commutator_subgroup(w: FreeWord) -> bool:
     return all(s == 0 for s in w.exponent_sums())
 
 
-def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> NormInterval:
-    """Interval bounds for the commutator length of w in [F, F].
-
-    Upper bound by bounded search over products of <= k_max commutators
-    [u, v] with |u|, |v| <= conj_len_max (in a ball of at most 2,000,000
-    elements); lower bound 1 for nontrivial w.  Exact only when the bounds meet.
-    """
-    if not isinstance(w, FreeWord):
-        raise FamilyMismatchError("commutator length is defined on free words")
-    if not in_commutator_subgroup(w):
-        raise NormError(f"{w.encode()!r} is not in the commutator subgroup")
-    if w.is_identity():
-        return NormInterval.exact_value(0)
-    words = all_reduced_words(w.rank, conj_len_max)
-    commutators = (c for u in words for v in words if not (c := commutator(u, v)).is_identity())
-    ball = BfsBall(commutators, w.identity(), memory_cap=2_000_000)
-    return _search_interval(ball.distance(w, k_max), 1)
-
-
 # ---------------------------------------------------------------------------
 # the context
 
@@ -511,6 +493,10 @@ def commutator_length_bounds(w: FreeWord, k_max: int, conj_len_max: int) -> Norm
 # Entries of a context's memo of kernel rows; the memo is emptied when it
 # fills.
 NORM_MEMO_CAP = 4096
+
+# Elements a commutator ball may hold: at rank 2 and L = 2 its level 3
+# alone holds 824,809, over the default ``memory_cap``.
+COMMUTATOR_BALL_CAP = 2_000_000
 
 # Longest word the kernel runs on: its table is L^2 cells.  Cone points
 # refuse longer elements with the same cap.
@@ -582,8 +568,8 @@ BACKENDS: dict[str, Backend] = {
     "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm, _cancellation_dp_ray),
     "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
     "bounded-search": Backend(None, "normal-closure", _bounded_search_norm),
-    "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: commutator_length_bounds(
-        g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
+    "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: conjugate_product_search(
+        ctx, g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
 }
 
 
@@ -690,14 +676,16 @@ class GroupContext:
     # -- the norm ----------------------------------------------------------
 
     def ball(self, conj_len: int | None = None) -> BfsBall:
-        """The context's ball, built on first use and shared by every search:
-        over the effective generators (``conj_len`` None, for ``bfs``), or
-        over the conjugates by words of at most ``conj_len`` letters."""
+        """The context's ball over ``enumerate_effective_generators(self,
+        conj_len)``, one per ``conj_len``, built on first use and shared by
+        every search.  A commutator ball is capped at
+        ``COMMUTATOR_BALL_CAP``, every other at ``memory_cap``."""
         ball = self._balls.get(conj_len)
         if ball is None:
-            gens = (enumerate_effective_generators(self) if conj_len is None
-                    else enumerate_conjugates(self, conj_len))
-            ball = self._balls[conj_len] = BfsBall(gens, self.identity(), self.memory_cap)
+            cap = (COMMUTATOR_BALL_CAP if self.generators.kind == "all-commutators"
+                   else self.memory_cap)
+            ball = self._balls[conj_len] = BfsBall(
+                enumerate_effective_generators(self, conj_len), self.identity(), cap)
         return ball
 
     def norm(self, g: GroupElement) -> NormInterval:

@@ -483,6 +483,7 @@ def fekete_limit(a: Callable[[int], float], phi: SubadditiveCorrection, n_max: i
     off a(n)/n, n = 1..n_max, by :func:`scheme_limit` under the plain
     scheme, with the same two-sided tail spread as :func:`homogenise`.
     """
+    scheme = LimitScheme("plain", n_max)
     sample = _triangular_sample(n_max, FEKETE_HYPOTHESIS_CHECKS, seed)
     args = sorted({float(m + n) for m, n in sample})
     last = None
@@ -503,7 +504,6 @@ def fekete_limit(a: Callable[[int], float], phi: SubadditiveCorrection, n_max: i
         rhs = av(m) + av(n) + phi.phi(float(m + n))
         if lhs > rhs + 1e-12:
             raise FeketeHypothesisError(m, n, lhs, rhs)
-    scheme = LimitScheme("plain", n_max)
     values = [_exact_div(av(n), n) for n in scheme.indices()]
     return HomogenisationResult(*scheme_limit(scheme, values), scheme,
                                 tuple(scheme.indices()), tuple(values))
@@ -548,7 +548,8 @@ class McShaneExtension:
 
     Restricted to powers of g the value is exactly c*m; on certified pairs
     the extension is 1-Lipschitz.  Requires the window certificate
-    ||g^n|| >= c*n for n = 1..W (checked exactly on construction).
+    ||g^n|| >= c*n for n = 1..W, checked exactly at each n as the power walk
+    reaches it; ``c=None`` takes c as the walk's growth floor min ||g^n||/n.
     """
 
     def __init__(self, ctx: GroupContext, g: GroupElement, c, window: int):
@@ -556,8 +557,8 @@ class McShaneExtension:
             raise ValueError("window must be >= 2")
         self.ctx = ctx
         self.g = g
-        self.c = Fraction(c)
-        if self.c <= 0:
+        self.c = None if c is None else Fraction(c)
+        if self.c is not None and self.c <= 0:
             raise ValueError("growth constant c must be positive")
         self.window = window
         self.norms: dict[int, Fraction] = {}
@@ -566,10 +567,12 @@ class McShaneExtension:
                 raise FiniteOrderError(f"{g.encode()} has order {n} <= window")
             norm = Fraction(norm)
             self.norms[n] = norm
-            if norm < self.c * n:
+            if self.c is not None and norm < self.c * n:
                 raise WindowCertificateError(
                     f"||g^{n}|| = {norm} < c*n = {self.c * n}"
                 )
+        if self.c is None:
+            self.c = min(norm / n for n, norm in self.norms.items())
         self._g_inverse = g.inverse()
         outer = range(window // 2 + 1, window + 1)
         self.tail_floor = min(Fraction(self.norms[m], m) for m in outer)
@@ -639,6 +642,12 @@ def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
     """
     if window < 2:
         raise ValueError("window must be >= 2")
+    if scheme.kind != "arith":
+        raise ValueError("detect_undistorted homogenises along an arithmetic scheme")
+    if scheme.k * scheme.window > window:
+        raise ValueError(
+            f"scheme reaches power {scheme.k * scheme.window} beyond the certified window {window}"
+        )
     trace = []
     for n, power, norm in ctx.power_norms(g, window):
         trace.append((n, norm, Fraction(norm) / n))
@@ -649,12 +658,6 @@ def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
     if finite_order or float(c_est) <= threshold:
         return UndistortionWitness(
             "distorted-or-undecided", c_est, None, None, tuple(trace), threshold, scheme,
-        )
-    if scheme.kind != "arith":
-        raise ValueError("detect_undistorted homogenises along an arithmetic scheme")
-    if scheme.k * scheme.window > window:
-        raise ValueError(
-            f"scheme reaches power {scheme.k * scheme.window} beyond the certified window {window}"
         )
     ext = mcshane_extend(ctx, g, c_est, window)
     anti = antisymmetrise(ext.handle)

@@ -1,8 +1,9 @@
 """The benchmark's ball-search strata still give their golden results.
 
-The `job-batch` strata `perm-bfs5`, `perm-bfs6` and `expected-error` run
-every task through ``perfbench/tasks.py`` in a fresh interpreter, as the
-benchmark's worker does, and compare the canonical result with
+The `job-batch` strata `perm-bfs5`, `perm-bfs6`, `expected-error`,
+`lattice-detect`, `heis-detect` and `lattice-extend` run every task
+through ``perfbench/tasks.py`` in a fresh interpreter, as the benchmark's
+worker does, and compare the canonical result with
 ``perfbench/data/job-batch.golden.json``.
 """
 
@@ -13,7 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-STRATA = ("perm-bfs5", "perm-bfs6", "expected-error")
+STRATA = ("perm-bfs5", "perm-bfs6", "expected-error", "lattice-detect", "heis-detect",
+          "lattice-extend")
 
 RUN = (
     "import json, sys\n"
@@ -43,5 +45,5 @@ def test_ball_search_strata_match_golden():
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     outcome = json.loads(done.stdout.splitlines()[-1])
-    assert outcome["ran"] == 120
+    assert outcome["ran"] == 240
     assert outcome["differing"] == []

@@ -273,6 +273,28 @@ job {
         assert result.rows[0].value == "E_FINITE_ORDER"
 
 
+    @pytest.mark.parametrize("c", ["", "  c = 1/2\n"])
+    def test_extend_of_a_finite_order_element(self, c):
+        # with c omitted the identity power must not make the default c zero
+        job = parse_jobspec(f"job {{\n  task = extend\n  family = perm\n  element = (1 2)\n"
+                            f"{c}  at = (1 2)\n}}\n")
+        assert run_job(job).rows[0].value == "E_FINITE_ORDER"
+
+    @pytest.mark.parametrize("context, element", [
+        ("family = heisenberg", "H(0,0,1)"),  # central, so distorted
+        ("family = lattice\n  dim = 2", "[1,0]"),
+    ])
+    @pytest.mark.parametrize("scheme, message", [
+        ("scheme = plain", "detect_undistorted homogenises along an arithmetic scheme"),
+        ("scheme = arith:5\n  window = 8", "scheme reaches power 40 beyond the certified window 8"),
+    ])
+    def test_detect_checks_its_scheme_on_either_branch(self, context, element, scheme, message):
+        job = parse_jobspec(f"job {{\n  task = detect\n  {context}\n  element = {element}\n"
+                            f"  {scheme}\n}}\n")
+        row = run_job(job).rows[0]
+        assert (row.value, row.witness) == ("E_VALUE", message)
+
+
 class TestEmit:
     def test_single_row_csv(self):
         rows = [{"a": "1", "b": "x"}]

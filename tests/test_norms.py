@@ -32,10 +32,8 @@ from binorms.norms import (
     bfs_word_norm,
     cancellation_norm,
     check_conjugation_invariance,
-    commutator_length_bounds,
     commutator_length_context,
     conjugate_product_search,
-    enumerate_conjugates,
     free_cancellation_context,
     heisenberg_conjugacy_norm,
     heisenberg_context,
@@ -684,7 +682,7 @@ class TestSearchParity:
     takes the one the new search reports."""
 
     def _check(self, ctx, elements, k_max, conj_len_max):
-        factors = enumerate_conjugates(ctx, conj_len_max)
+        factors = norms.enumerate_effective_generators(ctx, conj_len_max)
         for g in elements:
             if not g.is_identity():
                 new = conjugate_product_search(ctx, g, k_max, conj_len_max)
@@ -709,10 +707,11 @@ class TestSearchParity:
     def test_commutator_length(self, conj_len_max):
         short = all_reduced_words(2, conj_len_max)
         comms = [c for u in short for v in short if not (c := commutator(u, v)).is_identity()]
+        ctx = commutator_length_context(2)
         for w in all_reduced_words(2, 6):
             if in_commutator_subgroup(w) and not w.is_identity():
                 frozen = frozen_product_search(w, comms, w.identity(), 2, 2_000_000, 1)
-                assert commutator_length_bounds(w, 2, conj_len_max) == frozen, w
+                assert conjugate_product_search(ctx, w, 2, conj_len_max) == frozen, w
 
 
 class TestCommutatorLength:
@@ -720,22 +719,25 @@ class TestCommutatorLength:
         ctx = commutator_length_context(2)
         for w in (FreeWord(2, ()), commutator(A, B), commutator(A, B) ** 2,
                   commutator(A, B) * commutator(B, A * A)):
-            assert ctx.norm(w) == commutator_length_bounds(w, ctx.search_k_max, 2)
+            assert ctx.norm(w) == conjugate_product_search(commutator_length_context(2), w,
+                                                           ctx.search_k_max, 2)
         assert not ctx.norm(commutator(A, B) ** 2).exact
 
     def test_empty_word(self):
-        assert commutator_length_bounds(FreeWord(2, ()), 2, 2).require_exact() == 0
+        ctx = commutator_length_context(2)
+        assert conjugate_product_search(ctx, FreeWord(2, ()), 2, 2).require_exact() == 0
 
     def test_single_commutator(self):
-        assert commutator_length_bounds(commutator(A, B), 2, 2).require_exact() == 1
+        ctx = commutator_length_context(2)
+        assert conjugate_product_search(ctx, commutator(A, B), 2, 2).require_exact() == 1
 
     def test_square_gets_interval(self):
-        iv = commutator_length_bounds(commutator(A, B) ** 2, 2, 2)
+        iv = conjugate_product_search(commutator_length_context(2), commutator(A, B) ** 2, 2, 2)
         assert iv.lower == 1 and iv.upper == 2 and not iv.exact
 
     def test_rejects_nonzero_exponent_sum(self):
         with pytest.raises(NormError):
-            commutator_length_bounds(A, 2, 2)
+            conjugate_product_search(commutator_length_context(2), A, 2, 2)
         assert in_commutator_subgroup(commutator(A, B))
         assert not in_commutator_subgroup(A * B)
 
@@ -797,7 +799,7 @@ def test_maximality_against_commutator_length():
 
 def test_enumerate_conjugates_heisenberg_shape():
     ctx = heisenberg_context()
-    conjugates = enumerate_conjugates(ctx, 3)
+    conjugates = norms.enumerate_effective_generators(ctx, 3)
     for c in conjugates:
         assert (abs(c.x), abs(c.y)) in ((1, 0), (0, 1))
 
@@ -848,6 +850,38 @@ def test_bounded_search_keeps_one_ball_per_conjugator_length(monkeypatch):
     assert shared.ball(1) is not shared.ball(2) and len(built) == 1 + len(words)
 
 
+def test_commutator_length_keeps_one_ball_for_all_its_norms(monkeypatch):
+    built = []
+    init = BfsBall.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(BfsBall, "__init__", counted)
+    words = [w for w in all_reduced_words(2, 6) if in_commutator_subgroup(w) and not w.is_identity()]
+    shared = commutator_length_context(2, search_k_max=2)
+    answers = [shared.norm(w) for w in words]
+    assert len(built) == 1
+    assert shared.ball(2).memory_cap == norms.COMMUTATOR_BALL_CAP
+    assert answers == [commutator_length_context(2, search_k_max=2).norm(w) for w in words]
+    assert len(built) == 1 + len(words)
+    # the default conjugator length is capped at two letters
+    assert list(shared._balls) == [2]
+
+
+@pytest.mark.parametrize("family, gens, message", [
+    ("free", GeneratingSet.all_commutators(), "generating set 'all-commutators' is not enumerable"),
+    ("free", standard_generators("free"), "normal closure is not enumerable for family 'free'"),
+    ("heisenberg", GeneratingSet.normal_closure((HA,)),
+     "normal closure is not enumerable for family 'heisenberg'"),
+])
+def test_bfs_refuses_infinite_generating_sets(family, gens, message):
+    ctx = GroupContext(family, gens, "bfs")
+    with pytest.raises(NormError, match=message):
+        ctx.norm(ctx.identity())
+
+
 def test_lower_bound_for_a_generator_image_that_is_not_a_unit():
     # each conjugate of a^2 moves the exponent sum of a by 2, so a^4 needs
     # two of them, and two suffice
@@ -885,7 +919,8 @@ def _closures(rank):
       for length in range(7)),
 ])
 def test_bounded_orbit_is_the_conjugator_ball(ctx, conj_len_max):
-    assert enumerate_conjugates(ctx, conj_len_max) == _conjugator_ball_conjugates(ctx, conj_len_max)
+    assert (norms.enumerate_effective_generators(ctx, conj_len_max)
+            == _conjugator_ball_conjugates(ctx, conj_len_max))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,11 @@ class TestFekete:
         with pytest.raises(PqmError):
             fekete_limit(lambda n: float(n), bad, 64)
 
+    @pytest.mark.parametrize("n_max", range(1, 8))
+    def test_short_window_is_refused_by_the_scheme(self, n_max):
+        with pytest.raises(ValueError, match="^scheme window must be >= 8$"):
+            fekete_limit(lambda n: (n + 1) // 2, SubadditiveCorrection.zero(), n_max)
+
     def test_integrability_witness(self):
         assert SubadditiveCorrection.sqrt(2).integrability_witness().apparently_convergent
         linear = SubadditiveCorrection(lambda t: t, "linear")
@@ -335,6 +340,17 @@ class TestMcShaneExtension:
         ctx = symmetric_transposition_context(5)
         with pytest.raises(FiniteOrderError):
             mcshane_extend(ctx, Permutation.transposition(1, 2), Fraction(1, 2), 8)
+
+    def test_default_c_is_the_growth_floor_of_the_walk(self):
+        from binorms.norms import symmetric_transposition_context
+
+        g = A * A * B.inverse()
+        ext = mcshane_extend(F2, g, None, 12)
+        assert ext.c == min(Fraction(F2.norm_exact(g ** n), n) for n in range(1, 13))
+        assert ext(B) == mcshane_extend(F2, g, ext.c, 12)(B)
+        with pytest.raises(FiniteOrderError):
+            mcshane_extend(symmetric_transposition_context(5), Permutation.transposition(1, 2),
+                           None, 8)
 
     def test_window_certificate_failure(self):
         with pytest.raises(WindowCertificateError):
