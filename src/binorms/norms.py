@@ -19,6 +19,7 @@ approximated.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ class InexactNormError(NormError):
 
 
 class BudgetError(NormError):
-    """Raised when a search would build more than the context's memory cap,
+    """Raised when a search would build more than ``MEMORY_CAP`` elements,
     or the kernel would run on more than ``MAX_LETTERS`` letters."""
 
 
@@ -85,6 +86,36 @@ def _exact_interval(value: int) -> NormInterval:
     """The one shared exact interval of an integer norm value; a norm is at
     most its word's length, so at most ``MAX_LETTERS + 1`` are ever built."""
     return NormInterval.exact_value(value)
+
+
+# Search budgets, read when a search runs: the elements of a ball and the
+# conjugators of a closure, the depth of a bfs norm, the factors and
+# conjugator length of a bounded-search norm, and cl-bounds' |u|, |v| in [u, v].
+MEMORY_CAP = 500_000
+BFS_MAX_RADIUS = 12
+SEARCH_K_MAX = 6
+SEARCH_CONJ_LEN = 34
+CL_CONJ_LEN = 2
+
+# Entries of a context's memo of kernel rows; the memo is emptied when it
+# fills.
+NORM_MEMO_CAP = 4096
+
+# Elements a commutator ball may hold: at rank 2 and L = 2 its level 3
+# alone holds 824,809, over ``MEMORY_CAP``.
+COMMUTATOR_BALL_CAP = 2_000_000
+
+# Longest word the kernel runs on: its table is L^2 cells.  Cone points
+# refuse longer elements with the same cap.
+MAX_LETTERS = 4096
+
+
+def _check_letters(codes: tuple[int, ...]) -> None:
+    """Raise BudgetError when the kernel would run on over ``MAX_LETTERS``."""
+    if len(codes) > MAX_LETTERS:
+        raise BudgetError(
+            f"a {len(codes)}-letter word is over the {MAX_LETTERS}-letter kernel cap"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +325,7 @@ class BfsBall:
     """
 
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
-                 memory_cap: int = 500_000):
+                 memory_cap: int = MEMORY_CAP):
         self._generator_set = set(generators)
         self.generators = sorted(self._generator_set, key=lambda e: e.encode())
         self.memory_cap = memory_cap
@@ -357,10 +388,14 @@ def _conjugacy_orbit(gens: Iterable[GroupElement], conjugators: Sequence[GroupEl
     return orbit
 
 
-def _charge(ctx: "GroupContext", count: int) -> None:
-    """Raise BudgetError when ``count`` conjugators exceed the memory cap."""
-    if count > ctx.memory_cap:
-        raise BudgetError(f"{count} conjugators exceed memory_cap {ctx.memory_cap}")
+def _class_size(cycle_type: tuple[int, ...], degree: int) -> int:
+    """The size n!/prod_k k^m_k m_k! of the class of S_n, n = ``degree``,
+    whose cycles of length >= 2 have the lengths ``cycle_type``: m_k is the
+    number of k-cycles, and m_1 = n - |support| the number of fixed points."""
+    counts = collections.Counter(cycle_type)
+    counts[1] = degree - sum(cycle_type)
+    return math.factorial(degree) // math.prod(k ** m * math.factorial(m)
+                                               for k, m in counts.items())
 
 
 def enumerate_effective_generators(ctx: "GroupContext",
@@ -370,12 +405,18 @@ def enumerate_effective_generators(ctx: "GroupContext",
     ``free`` or ``heisenberg`` closure by words x of at most ``conj_len``
     letters, or the commutators [u, v] with |u|, |v| <= ``conj_len``.
     The last two raise NormError without a ``conj_len``; the conjugators of
-    a closure are counted against ``ctx.memory_cap`` before any is built."""
+    a closure, and the conjugates of a ``perm`` closure, are counted against
+    ``MEMORY_CAP`` before any is built."""
     gens = ctx.generators
     if gens.kind == "explicit":
         return set(gens.elements)
     if gens.kind == "normal-closure":
         if ctx.family == "perm":
+            # the orbit is one class of S_degree per listed cycle type
+            size = sum(_class_size(t, ctx.degree) for t in {
+                tuple(sorted(len(c) for c in cycle_decomposition(s))) for s in gens.elements})
+            if size > MEMORY_CAP:
+                raise BudgetError(f"{size} conjugates exceed memory_cap {MEMORY_CAP}")
             # conjugates within S_degree, which the adjacent transpositions generate
             adjacent = [Permutation.transposition(i, i + 1) for i in range(1, ctx.degree)]
             return _conjugacy_orbit(gens.elements, adjacent)
@@ -389,11 +430,13 @@ def enumerate_effective_generators(ctx: "GroupContext",
             )
         if ctx.family == "free":
             # reduced words of length <= L in rank r: 1 + sum_{i<L} 2r (2r-1)^i
-            _charge(ctx, 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len)))
+            count = 1 + sum(2 * ctx.rank * (2 * ctx.rank - 1) ** i for i in range(conj_len))
         else:
             # conjugation by (p,q,r) depends only on (p,q), so the 2L^2 + 2L + 1
             # words a^p b^q with |p|+|q| <= L = conj_len cover the whole ball
-            _charge(ctx, 2 * conj_len * conj_len + 2 * conj_len + 1)
+            count = 2 * conj_len * conj_len + 2 * conj_len + 1
+        if count > MEMORY_CAP:
+            raise BudgetError(f"{count} conjugators exceed memory_cap {MEMORY_CAP}")
         # L rounds by the signed letters conjugate by every word of <= L letters
         letters = [t for s in standard_generators(ctx.family, ctx.rank).elements
                    for t in (s, s.inverse())]
@@ -423,22 +466,30 @@ def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> Norm
 # bounded searches
 
 
+def _abelianisation_size(g: GroupElement) -> int:
+    """The L^1 norm of g's abelianisation: its exponent sums on a free word,
+    (x, y) on a Heisenberg element."""
+    return abs(g.x) + abs(g.y) if g.family == "heisenberg" else sum(map(abs, g.exponent_sums()))
+
+
 def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
-    """Certified lower bound for the conjugacy word norm of g."""
+    """Certified lower bound for the conjugacy word norm of g on a free or
+    Heisenberg context (1 on any other, 0 at the identity).
+
+    A conjugate x^-1 s^±1 x has the abelianisation of s^±1, so a product of
+    k of them has ||ab(g)||_1 <= k max_s ||ab(s)||_1 over the listed s.  A
+    nontrivial g with ab(g) = 0 (a central Heisenberg element, or a free
+    word in [F, F]) is no single conjugate when no listed s has ab(s) = 0.
+    """
     if g.is_identity():
         return 0
-    if ctx.family == "free":
-        # each factor moves the L^1 norm of the exponent sums by at most
-        # the largest L^1 norm of a generator's exponent sums
-        total = sum(abs(c) for c in g.exponent_sums())
-        largest = max((sum(abs(c) for c in s.exponent_sums()) for s in ctx.generators.elements),
-                      default=0)
-        return max(1, -(-total // largest)) if largest else 1
-    if ctx.family == "heisenberg":
-        if g.x == 0 and g.y == 0:
-            return 2  # nontrivial central element: no single generator is central
-        return abs(g.x) + abs(g.y)
-    return 1
+    if ctx.family not in ("free", "heisenberg"):
+        return 1
+    sizes = [_abelianisation_size(s) for s in ctx.generators.elements]
+    total = _abelianisation_size(g)
+    if total == 0:
+        return 2 if ctx.generators.kind == "normal-closure" and all(sizes) else 1
+    return -(-total // max(sizes)) if any(sizes) else 1
 
 
 def _search_interval(k: int | None, lower: int) -> NormInterval:
@@ -490,27 +541,6 @@ def in_commutator_subgroup(w: FreeWord) -> bool:
 # the context
 
 
-# Entries of a context's memo of kernel rows; the memo is emptied when it
-# fills.
-NORM_MEMO_CAP = 4096
-
-# Elements a commutator ball may hold: at rank 2 and L = 2 its level 3
-# alone holds 824,809, over the default ``memory_cap``.
-COMMUTATOR_BALL_CAP = 2_000_000
-
-# Longest word the kernel runs on: its table is L^2 cells.  Cone points
-# refuse longer elements with the same cap.
-MAX_LETTERS = 4096
-
-
-def _check_letters(codes: tuple[int, ...]) -> None:
-    """Raise BudgetError when the kernel would run on over ``MAX_LETTERS``."""
-    if len(codes) > MAX_LETTERS:
-        raise BudgetError(
-            f"a {len(codes)}-letter word is over the {MAX_LETTERS}-letter kernel cap"
-        )
-
-
 def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
     """The memo's miss path: ``kernels.prefix_norms(codes)``, stored under the
     codes the kernel ran on.  A row is a function of its codes alone, so
@@ -544,7 +574,7 @@ def _bounded_search_norm(ctx: "GroupContext", g: GroupElement) -> NormInterval:
     """The Heisenberg closed form on the standard closure, else the search."""
     if ctx.family == "heisenberg" and ctx._standard:
         return NormInterval.exact_value(sum(count for _, count in _heisenberg_witness_runs(g)))
-    return conjugate_product_search(ctx, g, ctx.search_k_max, ctx.search_conj_len)
+    return conjugate_product_search(ctx, g, SEARCH_K_MAX, SEARCH_CONJ_LEN)
 
 
 class Backend(NamedTuple):
@@ -562,14 +592,14 @@ class Backend(NamedTuple):
 
 
 BACKENDS: dict[str, Backend] = {
-    "bfs": Backend(None, None, lambda ctx, g: bfs_word_norm(ctx, g, ctx.bfs_max_radius)),
+    "bfs": Backend(None, None, lambda ctx, g: bfs_word_norm(ctx, g, BFS_MAX_RADIUS)),
     "transposition-closed-form": Backend(
         "perm", "standard", lambda ctx, g: NormInterval.exact_value(transposition_norm(g))),
     "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm, _cancellation_dp_ray),
     "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
     "bounded-search": Backend(None, "normal-closure", _bounded_search_norm),
     "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: conjugate_product_search(
-        ctx, g, ctx.search_k_max, min(ctx.search_conj_len, 2))),
+        ctx, g, SEARCH_K_MAX, CL_CONJ_LEN)),
 }
 
 
@@ -589,10 +619,6 @@ class GroupContext:
     rank: int = 2          # free groups
     degree: int = 5        # permutations (ambient S_degree for closures)
     dim: int = 2           # lattices
-    bfs_max_radius: int = 12
-    memory_cap: int = 500_000
-    search_k_max: int = 6
-    search_conj_len: int = 34
     _balls: dict[int | None, BfsBall] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -610,6 +636,9 @@ class GroupContext:
             raise ValueError(f"the {self.backend} backend needs the {row.family} family")
         if row.generators not in (None, "standard", self.generators.kind):
             raise ValueError(f"the {self.backend} backend needs the {row.generators} descriptor")
+        key = FAMILIES[self.family].size_key if self.family in FAMILIES else None
+        if key and getattr(self, key) < 1:
+            raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         # membership first: a generator outside the context is a family mismatch
         for s in self.generators.elements:
             self.check_member(s)
@@ -679,11 +708,11 @@ class GroupContext:
         """The context's ball over ``enumerate_effective_generators(self,
         conj_len)``, one per ``conj_len``, built on first use and shared by
         every search.  A commutator ball is capped at
-        ``COMMUTATOR_BALL_CAP``, every other at ``memory_cap``."""
+        ``COMMUTATOR_BALL_CAP``, every other at ``MEMORY_CAP``."""
         ball = self._balls.get(conj_len)
         if ball is None:
             cap = (COMMUTATOR_BALL_CAP if self.generators.kind == "all-commutators"
-                   else self.memory_cap)
+                   else MEMORY_CAP)
             ball = self._balls[conj_len] = BfsBall(
                 enumerate_effective_generators(self, conj_len), self.identity(), cap)
         return ball
@@ -764,30 +793,29 @@ class GroupContext:
 # -- ready-made contexts -----------------------------------------------------
 
 
-def integer_line_context(**kw) -> GroupContext:
-    return lattice_context(1, **kw)
+def integer_line_context() -> GroupContext:
+    return lattice_context(1)
 
 
-def lattice_context(dim: int, **kw) -> GroupContext:
-    return GroupContext("lattice", standard_generators("lattice", dim=dim), "l1", dim=dim, **kw)
+def lattice_context(dim: int) -> GroupContext:
+    return GroupContext("lattice", standard_generators("lattice", dim=dim), "l1", dim=dim)
 
 
-def free_cancellation_context(rank: int = 2, **kw) -> GroupContext:
-    gens = standard_generators("free", rank=rank)
-    return GroupContext("free", gens, "cancellation-dp", rank=rank, **kw)
+def free_cancellation_context(rank: int = 2) -> GroupContext:
+    return GroupContext("free", standard_generators("free", rank), "cancellation-dp", rank=rank)
 
 
-def symmetric_transposition_context(degree: int = 5, **kw) -> GroupContext:
+def symmetric_transposition_context(degree: int = 5) -> GroupContext:
     gens = standard_generators("perm")
-    return GroupContext("perm", gens, "transposition-closed-form", degree=degree, **kw)
+    return GroupContext("perm", gens, "transposition-closed-form", degree=degree)
 
 
-def heisenberg_context(**kw) -> GroupContext:
-    return GroupContext("heisenberg", standard_generators("heisenberg"), "bounded-search", **kw)
+def heisenberg_context() -> GroupContext:
+    return GroupContext("heisenberg", standard_generators("heisenberg"), "bounded-search")
 
 
-def commutator_length_context(rank: int = 2, **kw) -> GroupContext:
-    return GroupContext("free", GeneratingSet.all_commutators(), "cl-bounds", rank=rank, **kw)
+def commutator_length_context(rank: int = 2) -> GroupContext:
+    return GroupContext("free", GeneratingSet.all_commutators(), "cl-bounds", rank=rank)
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,16 @@ class TestMainEntry:
         assert main([*argv, "--samples", "5", "--reproducible"]) == 1
         assert f",error,{code}," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "free", "--rank", "0", "--element", "1"],
+        ["--family", "perm", "--degree", "0", "--element", "()"],
+        ["--family", "lattice", "--dim", "0", "--element", "[]"],
+    ])
+    def test_sizes_below_one_give_value_errors(self, argv, capsys):
+        assert main(["norm", *argv, "--reproducible"]) == 1
+        out = capsys.readouterr().out
+        assert ",error,E_VALUE," in out and "must be at least 1, got 0" in out
+
     def test_norm_accepts_permutations_within_the_degree(self, capsys):
         code = main(["norm", "--family", "perm", "--degree", "3",
                      "--element", "(1 3)", "--reproducible"])

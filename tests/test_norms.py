@@ -2,7 +2,9 @@ import functools
 import math
 import operator
 import random
+from contextlib import ExitStack
 from typing import NamedTuple
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -52,9 +54,9 @@ HA = Heisenberg(1, 0, 0)
 HB = Heisenberg(0, 1, 0)
 
 
-def transposition_ctx(degree, **kw):
+def transposition_ctx(degree):
     gens = GeneratingSet.normal_closure((Permutation.transposition(1, 2),))
-    return GroupContext("perm", gens, "bfs", degree=degree, **kw)
+    return GroupContext("perm", gens, "bfs", degree=degree)
 
 
 P12_34 = Permutation.from_cycles([(1, 2), (3, 4)])
@@ -149,9 +151,10 @@ class TestStandardUpToConjugacy:
         for w in all_reduced_words(2, 4):
             assert ctx.norm_exact(w) == cancellation_norm(w) == deletion_oracle(w)
         # products of conjugates of the listed elements reach the DP's value
-        search = GroupContext("free", gens, "bounded-search", search_conj_len=2, search_k_max=3)
+        search = GroupContext("free", gens, "bounded-search")
         for w in all_reduced_words(2, 3):
-            assert search.norm(w) == NormInterval.exact_value(cancellation_norm(w))
+            assert conjugate_product_search(search, w, 3, 2) == NormInterval.exact_value(
+                cancellation_norm(w))
 
     @pytest.mark.parametrize("family, elements", [
         ("perm", (Permutation.from_cycles([(1, 2, 3)]),)),
@@ -202,10 +205,10 @@ class TestBfs:
         iv = bfs_word_norm(ctx, LatticeVector((9, 9)), 4)
         assert not iv.exact and iv.lower == 5 and iv.upper == math.inf
 
-    def test_memory_cap_degrades_to_interval(self):
+    def test_memory_cap_degrades_to_interval(self, monkeypatch):
         # exceeding the cap must degrade gracefully, never abort
-        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs",
-                           dim=2, memory_cap=10)
+        monkeypatch.setattr(norms, "MEMORY_CAP", 10)
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs", dim=2)
         iv = bfs_word_norm(ctx, LatticeVector((4, 4)), 8)
         # levels 0 and 1 are complete and level 2 was tested by lookup
         assert iv == NormInterval(3, math.inf, False)
@@ -217,8 +220,9 @@ class TestBfs:
             assert bfs_word_norm(ctx, p, 6).require_exact() == transposition_norm(p)
 
     @pytest.mark.parametrize("cap", [16, 30, 100, 300, 800])
-    def test_truncated_s6_intervals_are_certified(self, cap):
-        ctx = transposition_ctx(6, memory_cap=cap)
+    def test_truncated_s6_intervals_are_certified(self, cap, monkeypatch):
+        monkeypatch.setattr(norms, "MEMORY_CAP", cap)
+        ctx = transposition_ctx(6)
         perms = list(all_permutations(6))
         random.Random(cap).shuffle(perms)
         for p in perms:
@@ -227,9 +231,10 @@ class TestBfs:
 
     @pytest.mark.parametrize("cap", [5, 10, 40])
     @pytest.mark.parametrize("radius", [3, 12])
-    def test_truncated_z2_intervals_are_certified(self, cap, radius):
-        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs",
-                           dim=2, memory_cap=cap, bfs_max_radius=radius)
+    def test_truncated_z2_intervals_are_certified(self, cap, radius, monkeypatch):
+        monkeypatch.setattr(norms, "MEMORY_CAP", cap)
+        monkeypatch.setattr(norms, "BFS_MAX_RADIUS", radius)
+        ctx = GroupContext("lattice", standard_generators("lattice", dim=2), "bfs", dim=2)
         box = list(Z2_BOX)
         random.Random(cap).shuffle(box)
         for v in box:
@@ -321,8 +326,9 @@ class TestPermutationClosure:
         for p, d in ball.distances.items():
             assert d == transposition_norm(p)
 
-    def test_truncated_s6_ball_keeps_its_table(self):
-        ctx = transposition_ctx(6, memory_cap=30)
+    def test_truncated_s6_ball_keeps_its_table(self, monkeypatch):
+        monkeypatch.setattr(norms, "MEMORY_CAP", 30)
+        ctx = transposition_ctx(6)
         ball = ctx.ball()
         ball.grow_to(12)
         # which elements a capped ball keeps follows the expansion order, so pin it
@@ -478,10 +484,8 @@ class TestMembership:
         (heisenberg_context(), LatticeVector((1, 2))),
         *(pytest.param(ctx, g, id=f"{ctx.backend}-{g.family}-rank-{g.rank}")
           for ctx in (free_cancellation_context(2), commutator_length_context(2),
-                      GroupContext("free", GeneratingSet.explicit_symmetrized([A, B]), "bfs",
-                                   bfs_max_radius=4),
-                      GroupContext("free", standard_generators("free"), "bounded-search",
-                                   search_k_max=2, search_conj_len=2))
+                      GroupContext("free", GeneratingSet.explicit_symmetrized([A, B]), "bfs"),
+                      GroupContext("free", standard_generators("free"), "bounded-search"))
           for g in (R3_COMMUTATOR, FreeWord.generator(1, 1), FreeWord.generator(30, 1))),
         pytest.param(free_cancellation_context(2), Permutation.parse("(1 2)"),
                      id="cancellation-dp-perm"),
@@ -491,7 +495,9 @@ class TestMembership:
           for ctx in (symmetric_transposition_context(5), lattice_context(2),
                       heisenberg_context())),
     ])
-    def test_norm_refuses_an_element_outside_the_context(self, ctx, g):
+    def test_norm_refuses_an_element_outside_the_context(self, ctx, g, monkeypatch):
+        for name, value in (("BFS_MAX_RADIUS", 4), ("SEARCH_K_MAX", 2), ("SEARCH_CONJ_LEN", 2)):
+            monkeypatch.setattr(norms, name, value)
         with pytest.raises(FamilyMismatchError):
             ctx.norm(g)
 
@@ -585,7 +591,7 @@ class TestHeisenbergNorm:
         assert prod == Heisenberg(3, -2, 7)
 
     def test_cross_check_against_generic_search(self):
-        ctx = heisenberg_context(search_k_max=3, search_conj_len=8)
+        ctx = heisenberg_context()
         rng = random.Random(12)
         for _ in range(25):
             g = Heisenberg(rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-6, 6))
@@ -658,13 +664,13 @@ class TestConjugateProductSearch:
         iv = conjugate_product_search(ctx, (A * B) ** 4, 2, 2)
         assert not iv.exact and iv.upper == math.inf and iv.lower >= 1
 
-    def test_context_norm_searches_other_closures(self):
+    def test_context_norm_searches_other_closures(self, monkeypatch):
         # the normal closure of a alone is not the standard Heisenberg
         # closure, so the context falls back to the bounded product search
-        ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
-                           search_k_max=2)
+        monkeypatch.setattr(norms, "SEARCH_K_MAX", 2)
+        ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search")
         for g in (HA, HA * HA, Heisenberg(-1, 0, 3), Heisenberg(0, 0, 1), HB):
-            assert ctx.norm(g) == conjugate_product_search(ctx, g, 2, ctx.search_conj_len)
+            assert ctx.norm(g) == conjugate_product_search(ctx, g, 2, norms.SEARCH_CONJ_LEN)
         assert ctx.norm(Heisenberg(0, 0, 1)).require_exact() == 2
         assert not ctx.norm(HB).exact  # b is outside the closure of a
 
@@ -687,7 +693,7 @@ class TestSearchParity:
             if not g.is_identity():
                 new = conjugate_product_search(ctx, g, k_max, conj_len_max)
                 frozen = frozen_product_search(g, factors, ctx.identity(), k_max,
-                                               ctx.memory_cap, new.lower)
+                                               norms.MEMORY_CAP, new.lower)
                 assert new == frozen, g
 
     @pytest.mark.parametrize("k_max", [2, 3])
@@ -720,7 +726,7 @@ class TestCommutatorLength:
         for w in (FreeWord(2, ()), commutator(A, B), commutator(A, B) ** 2,
                   commutator(A, B) * commutator(B, A * A)):
             assert ctx.norm(w) == conjugate_product_search(commutator_length_context(2), w,
-                                                           ctx.search_k_max, 2)
+                                                           norms.SEARCH_K_MAX, 2)
         assert not ctx.norm(commutator(A, B) ** 2).exact
 
     def test_empty_word(self):
@@ -755,9 +761,10 @@ class TestConjugationInvariance:
         report = check_conjugation_invariance(ctx, pairs)
         assert report.invariant
 
-    def test_non_normal_set_breaks_invariance(self):
+    def test_non_normal_set_breaks_invariance(self, monkeypatch):
+        monkeypatch.setattr(norms, "BFS_MAX_RADIUS", 6)
         gens = GeneratingSet.explicit_symmetrized([A])
-        ctx = GroupContext("free", gens, "bfs", rank=2, bfs_max_radius=6)
+        ctx = GroupContext("free", gens, "bfs", rank=2)
         report = check_conjugation_invariance(ctx, [(A, B)])
         # ||b^-1 a b|| is not reachable in <a>, certified > ||a|| = 1
         assert report.max_discrepancy > 0
@@ -804,25 +811,29 @@ def test_enumerate_conjugates_heisenberg_shape():
         assert (abs(c.x), abs(c.y)) in ((1, 0), (0, 1))
 
 
-def test_free_conjugators_counted_against_the_memory_cap():
+def test_free_conjugators_counted_against_the_memory_cap(monkeypatch):
     # rank 2, length <= 5: 1 + 4 (1 + 3 + 9 + 27 + 81) = 485 conjugators
     assert len(all_reduced_words(2, 5)) == 485
     gens = standard_generators("free")
-    ctx = GroupContext("free", gens, "bounded-search", search_conj_len=5, memory_cap=100)
+    monkeypatch.setattr(norms, "SEARCH_CONJ_LEN", 5)
+    monkeypatch.setattr(norms, "MEMORY_CAP", 100)
+    ctx = GroupContext("free", gens, "bounded-search")
     with pytest.raises(BudgetError, match="485 conjugators exceed memory_cap 100"):
         ctx.norm(A)
-    fits = GroupContext("free", gens, "bounded-search", search_conj_len=5, memory_cap=485)
+    monkeypatch.setattr(norms, "MEMORY_CAP", 485)
+    fits = GroupContext("free", gens, "bounded-search")
     assert fits.norm(A).require_exact() == 1
 
 
-def test_heisenberg_conjugators_counted_against_the_memory_cap():
+def test_heisenberg_conjugators_counted_against_the_memory_cap(monkeypatch):
     # |p| + |q| <= 20: 2 * 20^2 + 2 * 20 + 1 = 841 conjugators a^p b^q
-    ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
-                       search_conj_len=20, memory_cap=500)
+    monkeypatch.setattr(norms, "SEARCH_CONJ_LEN", 20)
+    monkeypatch.setattr(norms, "MEMORY_CAP", 500)
+    ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search")
     with pytest.raises(BudgetError, match="841 conjugators exceed memory_cap 500"):
         ctx.norm(HA)
-    fits = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search",
-                        search_conj_len=20, memory_cap=841)
+    monkeypatch.setattr(norms, "MEMORY_CAP", 841)
+    fits = GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)), "bounded-search")
     assert fits.norm(HA).require_exact() == 1
 
 
@@ -835,14 +846,14 @@ def test_bounded_search_keeps_one_ball_per_conjugator_length(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(BfsBall, "__init__", counted)
+    monkeypatch.setattr(norms, "SEARCH_CONJ_LEN", 2)
     gens = GeneratingSet.normal_closure((conjugate(A, B), B.inverse()))
     words = all_reduced_words(2, 3)
     assert len(words) == 53
-    shared = GroupContext("free", gens, "bounded-search", search_conj_len=2)
+    shared = GroupContext("free", gens, "bounded-search")
     answers = [shared.norm(w) for w in words]
     assert len(built) == 1
-    assert answers == [GroupContext("free", gens, "bounded-search", search_conj_len=2).norm(w)
-                       for w in words]
+    assert answers == [GroupContext("free", gens, "bounded-search").norm(w) for w in words]
     # one per fresh context, but the identity's, which needs no ball
     assert len(built) == len(words)
     # another conjugator length is another ball, kept beside the first
@@ -859,12 +870,13 @@ def test_commutator_length_keeps_one_ball_for_all_its_norms(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(BfsBall, "__init__", counted)
+    monkeypatch.setattr(norms, "SEARCH_K_MAX", 2)
     words = [w for w in all_reduced_words(2, 6) if in_commutator_subgroup(w) and not w.is_identity()]
-    shared = commutator_length_context(2, search_k_max=2)
+    shared = commutator_length_context(2)
     answers = [shared.norm(w) for w in words]
     assert len(built) == 1
     assert shared.ball(2).memory_cap == norms.COMMUTATOR_BALL_CAP
-    assert answers == [commutator_length_context(2, search_k_max=2).norm(w) for w in words]
+    assert answers == [commutator_length_context(2).norm(w) for w in words]
     assert len(built) == 1 + len(words)
     # the default conjugator length is capped at two letters
     assert list(shared._balls) == [2]
@@ -882,15 +894,109 @@ def test_bfs_refuses_infinite_generating_sets(family, gens, message):
         ctx.norm(ctx.identity())
 
 
-def test_lower_bound_for_a_generator_image_that_is_not_a_unit():
+def test_lower_bound_for_a_generator_image_that_is_not_a_unit(monkeypatch):
     # each conjugate of a^2 moves the exponent sum of a by 2, so a^4 needs
     # two of them, and two suffice
-    ctx = GroupContext("free", GeneratingSet.normal_closure((A * A,)), "bounded-search",
-                       search_conj_len=2)
+    monkeypatch.setattr(norms, "SEARCH_CONJ_LEN", 2)
+    ctx = GroupContext("free", GeneratingSet.normal_closure((A * A,)), "bounded-search")
     assert norms._abelianisation_lower_bound(ctx, A ** 4) == 2
     assert norms._abelianisation_lower_bound(ctx, A ** 3) == 2
     assert ctx.norm(A ** 4) == NormInterval(2, 2, True)
 
+
+H110 = Heisenberg(1, 1, 0)
+
+
+class TestAbelianisationBound:
+    """One lower bound for free and Heisenberg closures: ceil(||ab(g)||_1 /
+    max ||ab(s)||_1) over the listed s, and 2 for a nontrivial g with
+    ab(g) = 0 only when no listed s has ab(s) = 0."""
+
+    def test_power_of_a_listed_heisenberg_element(self):
+        ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((H110,)), "bounded-search")
+        assert H110 ** 9 == Heisenberg(9, 9, 36)
+        # nine listed factors give it, and each moves ||(x, y)||_1 by 2
+        assert ctx.norm(H110 ** 9) == NormInterval(9, math.inf, False)
+        assert ctx.norm(H110 ** 2) == NormInterval.exact_value(2)
+
+    def test_listed_central_element(self):
+        z = Heisenberg(0, 0, 1)
+        ctx = GroupContext("heisenberg", GeneratingSet.normal_closure((z,)), "bounded-search")
+        assert ctx.norm(z) == NormInterval.exact_value(1)
+        assert ctx.norm(z ** 3) == NormInterval(1, 3, False)
+        # with a central element listed beside a, (0, 0, 1) is one factor
+        mixed = GroupContext("heisenberg", GeneratingSet.normal_closure((HA, z)), "bounded-search")
+        assert mixed.norm(z) == NormInterval.exact_value(1)
+
+    def test_free_word_in_the_commutator_subgroup(self):
+        # [a^2, b] = a^-2 . b^-1 a^2 b, and no conjugate of a^±2 lies in [F, F]
+        ctx = GroupContext("free", GeneratingSet.normal_closure((A * A,)), "bounded-search")
+        assert norms._abelianisation_lower_bound(ctx, commutator(A * A, B)) == 2
+        assert conjugate_product_search(ctx, commutator(A * A, B), 2, 1) == NormInterval(2, 2, True)
+        # every conjugate of [a, b] lies in [F, F], so the bound stays 1
+        mixed = GroupContext("free", GeneratingSet.normal_closure((A, commutator(A, B))),
+                             "bounded-search")
+        assert norms._abelianisation_lower_bound(mixed, commutator(A, B)) == 1
+
+
+def test_perm_conjugates_counted_against_the_memory_cap(monkeypatch):
+    for cycles in ([(1, 2)], [(1, 2), (3, 4)], [(1, 2, 3)], [(1, 2, 3), (4, 5)],
+                   [(1, 2, 3, 4, 5, 6)]):
+        cycle_type = tuple(sorted(len(c) for c in cycles))
+        assert norms._class_size(cycle_type, 6) == len(
+            _s_n_conjugates((Permutation.from_cycles(cycles),), 6))
+    # the 3-cycles of S_6: 6! / (3 * 1! * 1^3 * 3!) = 40
+    three = Permutation.from_cycles([(1, 2, 3)])
+    gens = GeneratingSet.normal_closure((three,))
+    monkeypatch.setattr(norms, "MEMORY_CAP", 39)
+    with pytest.raises(BudgetError, match="40 conjugates exceed memory_cap 39"):
+        GroupContext("perm", gens, "bfs", degree=6).norm(three)
+    # the classes of all listed cycle types are charged: 40 + 15
+    both = GeneratingSet.normal_closure((three, T12))
+    monkeypatch.setattr(norms, "MEMORY_CAP", 54)
+    with pytest.raises(BudgetError, match="55 conjugates exceed memory_cap 54"):
+        GroupContext("perm", both, "bfs", degree=6).norm(three)
+    monkeypatch.setattr(norms, "MEMORY_CAP", 40)
+    assert GroupContext("perm", gens, "bfs", degree=6).norm_exact(three) == 1
+
+
+@pytest.mark.parametrize("make, key", [
+    (free_cancellation_context, "rank"),
+    (symmetric_transposition_context, "degree"),
+    (lattice_context, "dim"),
+])
+def test_sizes_below_one_are_value_errors(make, key):
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1, got {size}"):
+            make(size)
+
+
+def test_search_budgets_keep_the_old_context_defaults():
+    assert (norms.MEMORY_CAP, norms.BFS_MAX_RADIUS, norms.SEARCH_K_MAX, norms.SEARCH_CONJ_LEN,
+            norms.CL_CONJ_LEN) == (500_000, 12, 6, 34, 2)
+
+
+@pytest.mark.parametrize("make, elements, explicit", [
+    pytest.param(lambda: GroupContext("lattice", standard_generators("lattice"), "bfs"),
+                 [LatticeVector(v) for v in ((3, -2), (6, 6), (7, 6))],
+                 lambda ctx, g: bfs_word_norm(ctx, g, norms.BFS_MAX_RADIUS), id="bfs"),
+    pytest.param(lambda: GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)),
+                                      "bounded-search"),
+                 [HA, HA * HA, Heisenberg(-1, 0, 3), Heisenberg(0, 0, 1), Heisenberg(1, 0, 34),
+                  Heisenberg(6, 0, 0)],
+                 lambda ctx, g: conjugate_product_search(ctx, g, norms.SEARCH_K_MAX,
+                                                         norms.SEARCH_CONJ_LEN),
+                 id="bounded-search"),
+    pytest.param(lambda: commutator_length_context(2),
+                 [commutator(A, B), commutator(A, B) ** 2, commutator(A, B) * commutator(B, A * A)],
+                 lambda ctx, g: conjugate_product_search(ctx, g, norms.SEARCH_K_MAX,
+                                                         norms.CL_CONJ_LEN),
+                 id="cl-bounds"),
+])
+def test_search_backends_read_the_module_budgets(make, elements, explicit):
+    ctx = make()
+    for g in elements:
+        assert ctx.norm(g) == explicit(make(), g), g.encode()
 
 
 def _conjugator_ball_conjugates(ctx, conj_len_max):
@@ -946,6 +1052,7 @@ class AxiomCase(NamedTuple):
     elements: st.SearchStrategy
     conjugators: st.SearchStrategy
     bfs: GroupContext | None  # the BFS ball the norm must agree with
+    budgets: tuple = ()  # (name, value) pairs patched into norms for the case
 
 
 AXIOM_CASES = {
@@ -956,13 +1063,14 @@ AXIOM_CASES = {
                     GroupContext("lattice", standard_generators("lattice"), "bfs")),
     "bounded-search-heisenberg": AxiomCase(heisenberg_context(), HEIS_SMALL, HEIS_SMALL, None),
     "bounded-search-perm": AxiomCase(
-        GroupContext("perm", standard_generators("perm"), "bounded-search", degree=4,
-                     search_k_max=4, search_conj_len=1), S4, S4, S4_BFS),
+        GroupContext("perm", standard_generators("perm"), "bounded-search", degree=4),
+        S4, S4, S4_BFS, (("SEARCH_K_MAX", 4), ("SEARCH_CONJ_LEN", 1))),
+    # k = 2: a deeper search builds level 3 of the commutator ball, 824,809 elements
     "cl-bounds": AxiomCase(
-        commutator_length_context(2, search_k_max=2),
+        commutator_length_context(2),
         st.lists(st.sampled_from(_commutator_words()), min_size=1, max_size=2).map(
             lambda cs: functools.reduce(operator.mul, cs)),
-        FREE_WORDS, None),
+        FREE_WORDS, None, (("SEARCH_K_MAX", 2),)),
 }
 
 
@@ -977,22 +1085,25 @@ def test_norm_axioms_per_backend(name, data):
     """Certified forms of the axioms, which hold for intervals too: 0 exactly
     at the identity, ||g^-1|| = ||g||, ||gh|| <= ||g|| + ||h|| and, since every
     set here is normal, no certified gap between ||g|| and ||x^-1 g x||."""
-    ctx, elements, conjugators, bfs = AXIOM_CASES[name]
+    ctx, elements, conjugators, bfs, budgets = AXIOM_CASES[name]
     g, h, x = data.draw(elements), data.draw(elements), data.draw(conjugators)
-    ng = ctx.norm(g)
-    assert (ng == NormInterval.exact_value(0)) == g.is_identity()
-    assert ng.lower > 0 or g.is_identity()
-    assert ctx.norm(g.inverse()) == ng
-    assert ctx.norm(g * h).lower <= ng.upper + ctx.norm(h).upper
-    assert check_conjugation_invariance(ctx, [(g, x)]).max_discrepancy == 0
-    if bfs is not None:  # S4's diameter 3 is within reach of the search
-        assert ng.lower <= bfs.norm_exact(g) == ng.upper
+    with ExitStack() as stack:
+        for budget, value in budgets:
+            stack.enter_context(patch.object(norms, budget, value))
+        ng = ctx.norm(g)
+        assert (ng == NormInterval.exact_value(0)) == g.is_identity()
+        assert ng.lower > 0 or g.is_identity()
+        assert ctx.norm(g.inverse()) == ng
+        assert ctx.norm(g * h).lower <= ng.upper + ctx.norm(h).upper
+        assert check_conjugation_invariance(ctx, [(g, x)]).max_discrepancy == 0
+        if bfs is not None:  # S4's diameter 3 is within reach of the search
+            assert ng.lower <= bfs.norm_exact(g) == ng.upper
 
 
-def test_lattice_normal_closure_enumerates_its_signed_elements():
+def test_lattice_normal_closure_enumerates_its_signed_elements(monkeypatch):
     # conjugation is trivial in Z^2, so the closure of (1, 1) is (1, 1) and its inverse
-    ctx = GroupContext("lattice", GeneratingSet.normal_closure((LatticeVector((1, 1)),)), "bfs",
-                       bfs_max_radius=4)
+    monkeypatch.setattr(norms, "BFS_MAX_RADIUS", 4)
+    ctx = GroupContext("lattice", GeneratingSet.normal_closure((LatticeVector((1, 1)),)), "bfs")
     assert norms.enumerate_effective_generators(ctx) == {LatticeVector((1, 1)),
                                                          LatticeVector((-1, -1))}
     assert ctx.norm_exact(LatticeVector((-3, -3))) == 3
