@@ -23,7 +23,7 @@ import collections
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .groups import (
@@ -636,6 +636,8 @@ class GroupContext:
             raise ValueError(f"the {self.backend} backend needs the {row.family} family")
         if row.generators not in (None, "standard", self.generators.kind):
             raise ValueError(f"the {self.backend} backend needs the {row.generators} descriptor")
+        if self.generators.kind == "all-commutators" and self.family != "free":
+            raise ValueError(f"all-commutators is a set of free words, not of {self.family} elements")
         key = FAMILIES[self.family].size_key if self.family in FAMILIES else None
         if key and getattr(self, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -741,18 +743,6 @@ class GroupContext:
             h = h * g
             norms.append(self.norm_exact(h))
         return norms
-
-    def power_norms(self, g: GroupElement, window: int) -> Iterator[tuple[int, GroupElement, Any]]:
-        """Lazily yield (n, g^n, ||g^n||) for n = 1..window, one product per
-        step; stops after the first power equal to the identity, whose norm
-        is 0 without an evaluation."""
-        power = g.identity()
-        for n in range(1, window + 1):
-            power = power * g
-            if power.is_identity():
-                yield n, power, 0
-                return
-            yield n, power, self.norm_exact(power)
 
     def generator_sample(self, seed: int, count: int) -> list[GroupElement]:
         """Sampleable generators: the explicit list, class representatives

@@ -54,7 +54,12 @@ class PqmError(Exception):
 
 
 class FiniteOrderError(PqmError):
-    """The element has finite order within the inspected window."""
+    """The element has finite order within the inspected window; ``trace``
+    is the extension's power walk up to the identity power."""
+
+    def __init__(self, message: str, trace: list):
+        super().__init__(message)
+        self.trace = trace
 
 
 class WindowCertificateError(PqmError):
@@ -201,7 +206,9 @@ def scheme_limit(scheme: LimitScheme, values: Sequence) -> tuple:
     the liminf/limsup estimates, and ``converged`` holds when their spread
     is within ``DEFAULT_TOLERANCE`` relative to the estimate.  A constant
     tail keeps its exact value (int/Fraction); otherwise the mean is taken
-    in float to avoid astronomically long exact rationals.
+    in float to avoid astronomically long exact rationals, adding left to
+    right as the Cesaro means do (``sum`` of floats rounds differently
+    from Python 3.12 on, so it would change reports between versions).
     """
     series = values
     if scheme.kind == "cesaro":
@@ -213,7 +220,12 @@ def scheme_limit(scheme: LimitScheme, values: Sequence) -> tuple:
     tail = series[len(series) // 2 :]
     lo = min(tail)
     hi = max(tail)
-    estimate = lo if lo == hi else sum(float(v) for v in tail) / len(tail)
+    estimate = lo
+    if lo != hi:
+        total = 0.0
+        for v in tail:
+            total += float(v)
+        estimate = total / len(tail)
     converged = float(hi - lo) <= DEFAULT_TOLERANCE * max(1.0, abs(float(estimate)))
     return estimate, lo, hi, converged
 
@@ -547,9 +559,11 @@ class McShaneExtension:
     """f(h) = min over |n| <= W of (c*n + d(h, g^n)).
 
     Restricted to powers of g the value is exactly c*m; on certified pairs
-    the extension is 1-Lipschitz.  Requires the window certificate
-    ||g^n|| >= c*n for n = 1..W, checked exactly at each n as the power walk
-    reaches it; ``c=None`` takes c as the walk's growth floor min ||g^n||/n.
+    the extension is 1-Lipschitz.  The constructor walks g^1..g^W, one
+    product and one norm a step, into ``trace`` = [(n, ||g^n||,
+    ||g^n||/n)], and checks the window certificate ||g^n|| >= c*n exactly
+    as each power is reached; ``c=None`` takes c as the walk's growth
+    floor min ||g^n||/n.
     """
 
     def __init__(self, ctx: GroupContext, g: GroupElement, c, window: int):
@@ -561,21 +575,23 @@ class McShaneExtension:
         if self.c is not None and self.c <= 0:
             raise ValueError("growth constant c must be positive")
         self.window = window
-        self.norms: dict[int, Fraction] = {}
-        for n, power, norm in ctx.power_norms(g, window):
+        self.trace = []
+        power = g.identity()
+        for n in range(1, window + 1):
+            power = power * g
             if power.is_identity():
-                raise FiniteOrderError(f"{g.encode()} has order {n} <= window")
-            norm = Fraction(norm)
-            self.norms[n] = norm
-            if self.c is not None and norm < self.c * n:
-                raise WindowCertificateError(
-                    f"||g^{n}|| = {norm} < c*n = {self.c * n}"
-                )
+                self.trace.append((n, 0, Fraction(0)))
+                raise FiniteOrderError(f"{g.encode()} has order {n} <= window", self.trace)
+            norm = ctx.norm_exact(power)
+            ratio = Fraction(norm) / n
+            self.trace.append((n, norm, ratio))
+            if self.c is not None and ratio < self.c:
+                raise WindowCertificateError(f"||g^{n}|| = {ratio * n} < c*n = {self.c * n}")
         if self.c is None:
-            self.c = min(norm / n for n, norm in self.norms.items())
+            self.c = min(ratio for _, _, ratio in self.trace)
         self._g_inverse = g.inverse()
-        outer = range(window // 2 + 1, window + 1)
-        self.tail_floor = min(Fraction(self.norms[m], m) for m in outer)
+        # the outer half-window: n = W // 2 + 1 .. W
+        self.tail_floor = min(ratio for _, _, ratio in self.trace[window // 2:])
         # neg_closed reads (tail_floor - c) * (W + 1) - ||h|| > f(h); times
         # q * d, d the denominator of tail_floor, both sides are integers
         self._tail_den = self.tail_floor.denominator
@@ -632,11 +648,12 @@ def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
                        window: int) -> UndistortionWitness:
     """Certify positive norm growth on a window, or report the decay trace.
 
-    c_est is the window minimum of ||g^n||/n (so the extension precondition
-    holds on the whole window by construction).  Above the threshold the
-    detector builds the extension of n -> c_est * n, anti-symmetrises and
-    homogenises it along the arithmetic scheme, and returns the resulting
-    handle with its value at g.  Below the threshold the verdict is
+    The detector is the extension of n -> c_est * n with c = None, so
+    c_est is the window minimum of ||g^n||/n and the trace is the
+    extension's power walk (the walk up to the identity power on an
+    element of finite order).  Above the threshold it anti-symmetrises and
+    homogenises the extension along the arithmetic scheme, and returns the
+    resulting handle with its value at g.  Otherwise the verdict is
     "distorted-or-undecided": a bounded window can never certify sublinear
     growth, so "distorted" is never claimed.
     """
@@ -648,23 +665,21 @@ def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
         raise ValueError(
             f"scheme reaches power {scheme.k * scheme.window} beyond the certified window {window}"
         )
-    trace = []
-    for n, power, norm in ctx.power_norms(g, window):
-        trace.append((n, norm, Fraction(norm) / n))
-    finite_order = power.is_identity()
-    c_est = min(ratio for _, _, ratio in trace)
-    norm_g = trace[0][1]
-    threshold = max(DETECT_ABS_THRESHOLD, DETECT_REL_THRESHOLD * float(norm_g))
-    if finite_order or float(c_est) <= threshold:
+    try:
+        ext = McShaneExtension(ctx, g, None, window)
+        trace, c_est = tuple(ext.trace), ext.c
+    except FiniteOrderError as err:
+        ext, trace, c_est = None, tuple(err.trace), Fraction(0)
+    threshold = max(DETECT_ABS_THRESHOLD, DETECT_REL_THRESHOLD * float(trace[0][1]))
+    if ext is None or float(c_est) <= threshold:
         return UndistortionWitness(
-            "distorted-or-undecided", c_est, None, None, tuple(trace), threshold, scheme,
+            "distorted-or-undecided", c_est, None, None, trace, threshold, scheme,
         )
-    ext = mcshane_extend(ctx, g, c_est, window)
     anti = antisymmetrise(ext.handle)
     hom = homogenise(anti, g, scheme)
     handle = homogenised_handle(anti, scheme)
     return UndistortionWitness(
-        "undistorted", c_est, hom.estimate, handle, tuple(trace), threshold, scheme, ext,
+        "undistorted", c_est, hom.estimate, handle, trace, threshold, scheme, ext,
     )
 
 

@@ -528,6 +528,8 @@ class TestBackendRows:
           "--element", "[1,1]"], "needs the free family"),
         (["--family", "lattice", "--backend", "cl-bounds", "--element", "[1,1]"],
          "needs the free family"),
+        (["--family", "perm", "--generators", "all-commutators", "--backend", "bfs",
+          "--element", "(1 2)"], "all-commutators is a set of free words"),
     ])
     def test_a_set_the_backend_cannot_evaluate_is_refused(self, argv, message, capsys):
         assert main(["norm", *argv, "--reproducible"]) == 1
@@ -594,3 +596,37 @@ def test_build_context_defaults():
     for family, ctx in ready_made.items():
         assert build_context({"family": family}) == ctx
     assert build_context({"family": "free", "backend": "cl-bounds"}) == commutator_length_context(2)
+
+
+@pytest.mark.parametrize("body, code, expected", [
+    ("task = pullback\nfamily = lattice\ndim = 2\nfunctional = cone-norm\nsamples = 5", 0,
+     ("pullback-defect", "2", "violations=0;bound=24")),
+    ("task = fekete\nsequence = linear:2\nn = 16", 0, ("limit", "2", "converged=1")),
+    ("task = fekete\nsequence = halfceil\nphi = const:1\nn = 16", 0,
+     ("limit", "0.5216006216006216", "converged=0")),
+    ("task = fekete\nsequence = linear:1\nphi = zero\nn = 16", 0, ("limit", "1", "converged=1")),
+    ("task = defect\nfamily = lattice\nfunction = bogus\nsamples = 5", 1,
+     ("error", "E_VALUE", "unknown function id 'bogus'")),
+    ("task = pullback\nfamily = lattice\nfunctional = bogus\nsamples = 5", 1,
+     ("error", "E_VALUE", "unknown functional 'bogus' (cone-norm | coord:<i>)")),
+    ("task = fekete\nsequence = bogus\nn = 16", 1,
+     ("error", "E_VALUE", "unknown sequence id 'bogus'")),
+    ("task = fekete\nsequence = linear:1\nphi = bogus\nn = 16", 1,
+     ("error", "E_VALUE", "unknown phi id 'bogus'")),
+    ("task = norm\nfamily = perm\ngenerators = explicit:standard\nelement = (1 2)", 1,
+     ("error", "E_NORM", "explicit:standard is only defined for lattice contexts")),
+    ("task = norm\nfamily = lattice\ngenerators = explicit:\nelement = [1,0]", 1,
+     ("error", "E_NORM", "empty generator list in 'explicit:'")),
+    # a file of comments alone holds no job
+    (None, 2, "spec error: job file contains no jobs"),
+])
+def test_branches_of_the_batch_runner(body, code, expected, tmp_path, capsys):
+    spec = tmp_path / "branch.jobs"
+    spec.write_text("# a comment\n\n# another\n" if body is None else f"job {{\n{body}\n}}\n")
+    assert main(["run", "--spec", str(spec), "--reproducible"]) == code
+    captured = capsys.readouterr()
+    if body is None:
+        assert captured.err.strip() == expected
+        return
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [(r["quantity"], r["value"], r["witness"]) for r in rows] == [expected]

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 from contextlib import ExitStack
+from fractions import Fraction
 from typing import NamedTuple
 from unittest.mock import patch
 
@@ -46,6 +47,7 @@ from binorms.norms import (
     symmetric_transposition_context,
     transposition_norm,
 )
+from binorms.pqm import FiniteOrderError, McShaneExtension, WindowCertificateError
 from binorms.sampling import all_permutations, all_reduced_words, element_sampler, sample_pairs
 
 A = FreeWord.generator(2, 1)
@@ -79,7 +81,9 @@ GRID_KINDS = ("standard", "other-closure", "explicit", "all-commutators")
 # the (family, set) pairs each backend accepts; it refuses every other
 # pair with a ValueError
 GRID_ACCEPTS = {
-    "bfs": {(f, k) for f in GRID_SETS for k in GRID_KINDS},
+    # all commutators are free words: no other family takes them
+    "bfs": {(f, k) for f in GRID_SETS for k in GRID_KINDS} - {
+        (f, "all-commutators") for f in ("perm", "lattice", "heisenberg")},
     # normal closures only: the lattice's standard set is an explicit list
     "bounded-search": {(f, k) for f in GRID_SETS for k in ("standard", "other-closure")}
     - {("lattice", "standard")},
@@ -401,26 +405,34 @@ POWER_CASES = {
 
 
 class TestPowerNorms:
+    """The one power walk: ``McShaneExtension`` reaches g^1..g^W one product
+    and one norm at a time, and keeps them as its trace."""
+
     @pytest.mark.parametrize("family", sorted(POWER_CASES))
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), window=st.integers(1, 10))
+    @given(data=st.data(), window=st.integers(2, 10))
     def test_yields_each_power_and_its_norm_until_the_identity(self, family, data, window):
         ctx, elements = POWER_CASES[family]
         g = data.draw(elements)
         expected = []
         for n in range(1, window + 1):
-            expected.append((n, g ** n, ctx.norm_exact(g ** n)))
+            norm = ctx.norm_exact(g ** n)
+            expected.append((n, norm, Fraction(norm) / n))
             if (g ** n).is_identity():
-                break
-        assert list(ctx.power_norms(g, window)) == expected
+                with pytest.raises(FiniteOrderError) as err:
+                    McShaneExtension(ctx, g, None, window)
+                assert err.value.trace == expected
+                return
+        assert McShaneExtension(ctx, g, None, window).trace == expected
 
     def test_evaluates_a_norm_only_when_its_power_is_reached(self, monkeypatch):
         ctx = free_cancellation_context(2)
         seen = []
         monkeypatch.setattr(ctx, "norm_exact", lambda g: seen.append(g) or 1)
-        walk = ctx.power_norms(A * B, 100)
-        assert next(walk) == (1, A * B, 1) and next(walk)[0] == 2
-        assert seen == [A * B, (A * B) ** 2]
+        # ||ab|| = 1 < c * 1 fails the certificate at the first power
+        with pytest.raises(WindowCertificateError):
+            McShaneExtension(ctx, A * B, 2, 100)
+        assert seen == [A * B]
 
 
 class TestRayNorms:
@@ -892,6 +904,22 @@ def test_bfs_refuses_infinite_generating_sets(family, gens, message):
     ctx = GroupContext(family, gens, "bfs")
     with pytest.raises(NormError, match=message):
         ctx.norm(ctx.identity())
+
+
+@pytest.mark.parametrize("family, g", [
+    ("perm", Permutation.from_cycles([(1, 2, 3)])), ("heisenberg", Heisenberg(0, 0, 1)),
+    ("lattice", LatticeVector((1, 0))),
+])
+@pytest.mark.parametrize("call", [
+    lambda ctx, g: conjugate_product_search(ctx, g, 2, 1),
+    lambda ctx, g: norms.enumerate_effective_generators(ctx, 1),
+    lambda ctx, g: ctx.generator_sample(seed=1, count=3),
+], ids=["product-search", "effective-generators", "generator-sample"])
+def test_all_commutators_are_free_words_only(family, g, call):
+    # the set is built of free words: in another family the calls below
+    # would compare or return free words, so no such context is built
+    with pytest.raises(ValueError, match="all-commutators is a set of free words"):
+        call(GroupContext(family, GeneratingSet.all_commutators(), "bfs"), g)
 
 
 def test_lower_bound_for_a_generator_image_that_is_not_a_unit(monkeypatch):

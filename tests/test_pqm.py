@@ -84,6 +84,12 @@ class TestLimitScheme:
         third = Fraction(1, 3)
         assert scheme_limit(LimitScheme("plain", 8), [1] * 4 + [third] * 4) == (third, third, third, True)
 
+    def test_tail_mean_adds_left_to_right_on_every_python(self):
+        # sum() rounds this tail to 2.7684523809523807 from Python 3.12 on
+        series = [4, 3, Fraction(10, 3), 3, Fraction(14, 5), Fraction(8, 3), Fraction(20, 7),
+                  Fraction(11, 4)]
+        assert scheme_limit(LimitScheme("plain", 8), series)[0] == 2.768452380952381
+
 
 class TestDefectEstimate:
     def test_homomorphism_has_zero_defect(self):
@@ -471,6 +477,21 @@ class TestDetectUndistorted:
     def test_value_equals_c_est_exactly(self):
         wit = detect_undistorted(F2, A * B, LimitScheme("arith", 8, k=2), 24)
         assert wit.value_at_g == wit.c_est == 2
+
+    @pytest.mark.parametrize("g, calls", [
+        # 32 for the walk, then 1,056 for the rays of the extension
+        (Heisenberg(1, 0, 0), 1088),
+        # below the threshold: the walk alone
+        (Heisenberg(0, 0, 1), 32),
+    ])
+    def test_walks_the_powers_once(self, g, calls, monkeypatch):
+        ctx = heisenberg_context()
+        seen = []
+        norm_exact = ctx.norm_exact
+        monkeypatch.setattr(ctx, "norm_exact", lambda h: seen.append(h) or norm_exact(h))
+        wit = detect_undistorted(ctx, g, LimitScheme("arith", 8, k=2), 32)
+        assert len(seen) == calls
+        assert [n for n, _, _ in wit.trace] == list(range(1, 33))
 
 
 class TestCTrick:
