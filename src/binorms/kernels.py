@@ -23,8 +23,11 @@ spells, whether or not the word is freely reduced: the deletions that kill
 the reduced word kill every word that reduces to it, and each deletion is
 one conjugate of a generator.  So one row of the plain concatenation
 ``h g g ... g`` holds ``||h g^n||`` for every n, at prefix length
-``|h| + n |g|``; the McShane extension reads two such rows per evaluation.
-``cancellation_dp`` is the last entry of the row.
+``|h| + n |g|``.  The McShane extension of n -> c*n from <g> keeps one
+such row of powers of g as its table of ``||g^j||``, j <= 2W, which every
+evaluation at a power of g reads; any other point reads two rows, of
+``h g^-1 ... g^-1`` and of ``h g ... g``.  ``cancellation_dp`` is the last
+entry of the row.
 
 Kernel input format: any sequence of signed generator codes
 ``sign * index`` (index >= 1) -- a tuple, a list or a numpy integer array.

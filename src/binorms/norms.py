@@ -110,11 +110,12 @@ COMMUTATOR_BALL_CAP = 2_000_000
 MAX_LETTERS = 4096
 
 
-def _check_letters(codes: tuple[int, ...]) -> None:
-    """Raise BudgetError when the kernel would run on over ``MAX_LETTERS``."""
-    if len(codes) > MAX_LETTERS:
+def check_letters(length: int) -> None:
+    """Raise BudgetError when the kernel would run on a word of over
+    ``MAX_LETTERS`` letters."""
+    if length > MAX_LETTERS:
         raise BudgetError(
-            f"a {len(codes)}-letter word is over the {MAX_LETTERS}-letter kernel cap"
+            f"a {length}-letter word is over the {MAX_LETTERS}-letter kernel cap"
         )
 
 
@@ -260,7 +261,7 @@ def cancellation_norm(w: FreeWord) -> int:
     if not isinstance(w, FreeWord):
         raise FamilyMismatchError("cancellation norm is defined on free words")
     codes = w.codes()
-    _check_letters(codes)
+    check_letters(len(codes))
     return kernels.cancellation_dp(codes)
 
 
@@ -545,7 +546,7 @@ def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
     """The memo's miss path: ``kernels.prefix_norms(codes)``, stored under the
     codes the kernel ran on.  A row is a function of its codes alone, so
     every reader of ``ctx._norm_memo.get(codes)`` may share it."""
-    _check_letters(codes)
+    check_letters(len(codes))
     row = kernels.prefix_norms(codes)
     if len(ctx._norm_memo) >= NORM_MEMO_CAP:
         ctx._norm_memo.clear()

@@ -37,6 +37,7 @@ from .groups import (
     commutator,
     conjugate,
 )
+from . import norms
 from .norms import GroupContext, free_cancellation_context, integer_line_context
 from .sampling import DEFAULT_SEED
 
@@ -564,6 +565,13 @@ class McShaneExtension:
     ||g^n||/n)], and checks the window certificate ||g^n|| >= c*n exactly
     as each power is reached; ``c=None`` takes c as the walk's growth
     floor min ||g^n||/n.
+
+    The walk also keeps each power g^m, |m| <= W, with its exponent, and
+    the table T[j] = ||g^j|| of exact norms, T[0..W] off the walk.  At
+    h = g^m every distance the evaluation reads is some T[|m -+ n|], so it
+    reads the table; entries past W come from one ray along g when an
+    evaluation first needs them.  Any other h reads two rays,
+    ||h g^-n|| and ||h g^n|| for n = 0..W.
     """
 
     def __init__(self, ctx: GroupContext, g: GroupElement, c, window: int):
@@ -577,6 +585,8 @@ class McShaneExtension:
         self.window = window
         self.trace = []
         power = g.identity()
+        self._powers = [power]
+        self._table = [0]
         for n in range(1, window + 1):
             power = power * g
             if power.is_identity():
@@ -585,11 +595,19 @@ class McShaneExtension:
             norm = ctx.norm_exact(power)
             ratio = Fraction(norm) / n
             self.trace.append((n, norm, ratio))
+            self._powers.append(power)
+            self._table.append(_exact(norm))
             if self.c is not None and ratio < self.c:
                 raise WindowCertificateError(f"||g^{n}|| = {ratio * n} < c*n = {self.c * n}")
         if self.c is None:
             self.c = min(ratio for _, _, ratio in self.trace)
         self._g_inverse = g.inverse()
+        self._exponent = {p: n for n, p in enumerate(self._powers)}
+        for n in range(1, window + 1):
+            self._exponent.setdefault(self._powers[n].inverse(), -n)
+        # the kernel caps its words at MAX_LETTERS, and one row holds the
+        # norm of every prefix of its word
+        self._kernel = ctx.backend == "cancellation-dp"
         # the outer half-window: n = W // 2 + 1 .. W
         self.tail_floor = min(ratio for _, _, ratio in self.trace[window // 2:])
         # neg_closed reads (tail_floor - c) * (W + 1) - ||h|| > f(h); times
@@ -598,17 +616,42 @@ class McShaneExtension:
         self._neg_reach = ((self.c.denominator * self.tail_floor.numerator
                             - self.c.numerator * self._tail_den) * (window + 1))
 
+    def _table_to(self, reach: int) -> list:
+        """The table through T[reach] at least.  One ray along g, from the
+        first power past the table, extends it; on the kernel that ray runs
+        to 2W when its row fits ``MAX_LETTERS``, since the row's prefixes
+        are the rows of the shorter rays."""
+        table = self._table
+        top = len(table) - 1
+        if reach > top:
+            g = self.g
+            start = self._powers[-1] * self._powers[top + 1 - self.window]  # g^(top + 1)
+            if self._kernel and (len(start.codes()) + (2 * self.window - top - 1) * len(g.codes())
+                                 <= norms.MAX_LETTERS):
+                reach = 2 * self.window
+            table.extend(map(_exact, self.ctx.ray_norms(start, g, reach - top - 1)))
+        return table
+
     def eval_with_certificate(self, h: GroupElement) -> tuple[Fraction, ExtensionCertificate]:
         # with c = p/q, compare q * (c*n + d(h, g^n)) = p*n + q*||h g^-n||
-        # in integers; ||h g^-n|| and ||h g^n|| for n = 0..W are two rays
+        # in integers; back[n] = ||h g^-n|| and ahead[n] = ||h g^n||
         p, q = self.c.numerator, self.c.denominator
         window = self.window
-        back = self.ctx.ray_norms(h, self._g_inverse, window)
-        ahead = self.ctx.ray_norms(h, self.g, window)
-        nh = _exact(back[0])
+        m = self._exponent.get(h)
+        if m is None:
+            back = [*map(_exact, self.ctx.ray_norms(h, self._g_inverse, window))]
+            ahead = [*map(_exact, self.ctx.ray_norms(h, self.g, window))]
+        else:
+            if self._kernel:
+                # the cap of the ray on h g^-W; the table's row is no longer
+                norms.check_letters(len(h.codes()) + window * len(self.g.codes()))
+            table = self._table_to(abs(m) + window)
+            back = [table[abs(m - n)] for n in range(window + 1)]
+            ahead = [table[abs(m + n)] for n in range(window + 1)]
+        nh = back[0]
         best_q = q * nh  # n = 0 term: d(h, 1) = ||h||
         for n in range(1, window + 1):
-            term = min(p * n + q * _exact(back[n]), q * _exact(ahead[n]) - p * n)
+            term = min(p * n + q * back[n], q * ahead[n] - p * n)
             if term < best_q:
                 best_q = term
         pos_closed = p * (window + 1) > best_q

@@ -7,13 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import recursive_g_shape_witnesses, recursive_h_shape_witnesses
 
+from binorms import kernels, norms
+from binorms.cli import parse_jobspec, run_job
 from binorms.groups import FreeWord, Heisenberg, LatticeVector, Permutation, commutator, conjugate
 from binorms.norms import (
+    BudgetError,
+    GeneratingSet,
+    GroupContext,
     cancellation_norm,
     free_cancellation_context,
     heisenberg_context,
     integer_line_context,
     lattice_context,
+    symmetric_transposition_context,
 )
 from binorms.pqm import (
     FeketeHypothesisError,
@@ -44,6 +50,7 @@ from binorms.pqm import (
     walk_build,
     walk_handle,
 )
+from binorms.reports import format_number
 from binorms.sampling import all_reduced_words, element_sampler, sample_pairs
 
 A = FreeWord.generator(2, 1)
@@ -412,41 +419,130 @@ def _free_words(rank, max_size):
                     max_size=max_size).map(lambda letters: FreeWord(rank, letters))
 
 
-# (context, g, h): g conjugated by a free word is not cyclically reduced;
-# lattice and Heisenberg contexts take the one-product-a-step ray
+# orders 10 and 12 in S_7: no power up to the largest window drawn is 1
+S7_HIGH_ORDER = st.sampled_from([Permutation.from_cycles(cycles) for cycles in (
+    [(1, 2), (3, 4, 5, 6, 7)], [(1, 2, 3), (4, 5, 6, 7)],
+    [(1, 6), (2, 7, 3, 5, 4)], [(7, 1, 4), (2, 6, 5, 3)])])
+
+S7_BFS = GroupContext("perm", GeneratingSet.normal_closure((Permutation.transposition(1, 2),)),
+                      "bfs", degree=7)
+S7_BFS.ball().grow_to(6)  # all of S_7: every norm is a lookup
+S7_PERMUTATIONS = st.permutations(range(1, 8)).map(
+    lambda images: Permutation(dict(zip(range(1, 8), images))))
+
+# kind: (context, strategy of (g, h)): g conjugated by a free word is not
+# cyclically reduced; lattice, Heisenberg and permutation contexts take
+# the one-product-a-step ray.  ``cl-bounds`` is missing: it certifies
+# ||[a, b]^2|| only as [1, 2], so no walk of window >= 2 gets through it.
 MCSHANE_CASES = {
-    "free": st.tuples(_free_words(2, 2), _free_words(2, 3), _free_words(2, 5)).filter(
-        lambda t: not t[1].is_identity()).map(
-        lambda t: (F2, conjugate(t[1], t[0]), t[2])),
-    "free-rank-3": st.tuples(_free_words(3, 3), _free_words(3, 4)).filter(
-        lambda t: not t[0].is_identity()).map(
-        lambda t: (free_cancellation_context(3), t[0], t[1])),
-    "lattice": st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                         st.tuples(st.integers(-5, 5), st.integers(-5, 5))).filter(
-        lambda t: t[0] != (0, 0)).map(
-        lambda t: (Z2, LatticeVector(t[0]), LatticeVector(t[1]))),
-    "heisenberg": st.tuples(st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 2)]),
-                            st.tuples(*[st.integers(-3, 3)] * 3)).map(
-        lambda t: (heisenberg_context(), Heisenberg(*t[0]), Heisenberg(*t[1]))),
+    "free": (F2, st.tuples(_free_words(2, 2), _free_words(2, 3), _free_words(2, 5)).filter(
+        lambda t: not t[1].is_identity()).map(lambda t: (conjugate(t[1], t[0]), t[2]))),
+    "free-rank-3": (free_cancellation_context(3), st.tuples(_free_words(3, 3), _free_words(3, 4))
+                    .filter(lambda t: not t[0].is_identity())),
+    "lattice": (Z2, st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                              st.tuples(st.integers(-5, 5), st.integers(-5, 5))).filter(
+        lambda t: t[0] != (0, 0)).map(lambda t: (LatticeVector(t[0]), LatticeVector(t[1])))),
+    "heisenberg": (heisenberg_context(), st.tuples(
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 2)]),
+        st.tuples(*[st.integers(-3, 3)] * 3)).map(
+        lambda t: (Heisenberg(*t[0]), Heisenberg(*t[1])))),
+    "perm": (symmetric_transposition_context(7), st.tuples(S7_HIGH_ORDER, S7_PERMUTATIONS)),
+    "perm-bfs": (S7_BFS, st.tuples(S7_HIGH_ORDER, S7_PERMUTATIONS)),
+}
+
+# the s of the near-powers g^m s
+NEAR_LETTER = {
+    "free": B,
+    "free-rank-3": FreeWord.generator(3, 3),
+    "lattice": LatticeVector((0, 1)),
+    "heisenberg": Heisenberg(0, 1, 0),
+    "perm": Permutation.transposition(1, 2),
+    "perm-bfs": Permutation.transposition(1, 2),
 }
 
 
+def _spy_rays(ctx, monkeypatch):
+    """The (h, count) of every ray the context is asked for."""
+    rays = []
+    ray_norms = ctx.ray_norms
+    monkeypatch.setattr(ctx, "ray_norms",
+                        lambda h, g, count: rays.append((h, count)) or ray_norms(h, g, count))
+    return rays
+
+
 class TestMcShaneAgainstThePerPowerLoop:
+    def test_cases_cover_every_backend_but_cl_bounds(self):
+        backends = {ctx.backend for ctx, _ in MCSHANE_CASES.values()}
+        assert backends == set(norms.BACKENDS) - {"cl-bounds"}
+
     @pytest.mark.parametrize("kind", sorted(MCSHANE_CASES))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), window=st.integers(2, 8),
            scale=st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)]))
     def test_same_value_and_certificate(self, kind, data, window, scale):
-        ctx, g, h = data.draw(MCSHANE_CASES[kind])
+        """At h, at every power g^m with |m| <= W (read off the table), and at
+        every near-power g^m s that is not such a power (two rays)."""
+        ctx, elements = MCSHANE_CASES[kind]
+        g, h = data.draw(elements)
         ratio = min(Fraction(ctx.norm_exact(g ** n), n) for n in range(1, window + 1))
         assume(ratio > 0)
-        if data.draw(st.booleans()):
-            h = g ** data.draw(st.integers(-window, window))
         ext = mcshane_extend(ctx, g, ratio * scale, window)
-        value, cert = ext.eval_with_certificate(h)
-        best, flags = per_power_mcshane(ext, h)
-        assert type(value) is Fraction and value == best
-        assert (cert.exact, cert.pos_closed, cert.neg_closed) == flags
+        powers = [g ** m for m in range(-window, window + 1)]
+        near = [p * NEAR_LETTER[kind] for p in powers]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rays = _spy_rays(ctx, monkeypatch)
+            for point in [h] + powers + near:
+                del rays[:]
+                value, cert = ext.eval_with_certificate(point)
+                best, flags = per_power_mcshane(ext, point)
+                assert type(value) is Fraction and value == best
+                assert (cert.exact, cert.pos_closed, cert.neg_closed) == flags
+                # the table fills by rays of fewer than W steps; an
+                # evaluation off the powers is the two rays of W steps
+                own = [r for r in rays if r[1] == window]
+                assert own == ([] if point in powers else [(point, window)] * 2)
+
+    def test_extend_job_at_powers(self):
+        """A CLI ``extend`` job probed at powers of its element gives the
+        per-power loop's values and certificates."""
+        window, g = 6, B.inverse() * A * A * B
+        probes = [g ** m for m in (3, -6, 0, 6, -1, 2)]
+        at = ";".join(p.encode() for p in probes)
+        rows = run_job(parse_jobspec(f"job {{\n  task = extend\n  family = free\n"
+                                     f"  element = {g.encode()}\n  window = {window}\n"
+                                     f"  at = {at}\n}}\n")).rows
+        ext = mcshane_extend(free_cancellation_context(2), g, None, window)
+        assert [(r.value, r.exact) for r in rows] == [
+            (format_number(best), str(int(flags[0])))
+            for best, flags in (per_power_mcshane(ext, p) for p in probes)]
+
+    @pytest.mark.parametrize("g", [A * B, B.inverse() * A * B], ids=["ab", "b^-1ab"])
+    def test_letter_cap_matches_the_rays(self, g, monkeypatch):
+        """At g^m the table raises BudgetError exactly where the two rays on
+        h g^-+W would: below, with the cap at 16 letters."""
+        monkeypatch.setattr(norms, "MAX_LETTERS", 16)
+        raised = {True: 0, False: 0}
+        for window in range(2, 8):
+            if len((g ** window).codes()) > 16:
+                continue  # the walk itself is over the cap
+            shared = mcshane_extend(free_cancellation_context(2), g, None, window)
+            for m in sorted(range(-window, window + 1), key=abs):
+                h = g ** m
+                ctx = free_cancellation_context(2)
+                try:
+                    ctx.ray_norms(h, g.inverse(), window)
+                    ctx.ray_norms(h, g, window)
+                    ray_raises = False
+                except BudgetError:
+                    ray_raises = True
+                raised[ray_raises] += 1
+                for ext in (shared, mcshane_extend(ctx, g, None, window)):
+                    if ray_raises:
+                        with pytest.raises(BudgetError):
+                            ext.eval_with_certificate(h)
+                    else:
+                        assert ext(h) == per_power_mcshane(ext, h)[0]
+        assert raised[True] and raised[False]
 
 
 class TestDetectUndistorted:
@@ -478,9 +574,22 @@ class TestDetectUndistorted:
         wit = detect_undistorted(F2, A * B, LimitScheme("arith", 8, k=2), 24)
         assert wit.value_at_g == wit.c_est == 2
 
+    def test_a_free_detect_runs_the_walk_and_one_row(self, monkeypatch):
+        # the walk's rows of the reduced g^1..g^32, then one row of the plain
+        # codes of g^33 g^31: 2W |g| letters hold every ||g^j||, j <= 2W
+        lengths = []
+        prefix_norms = kernels.prefix_norms
+        monkeypatch.setattr(kernels, "prefix_norms",
+                            lambda codes: lengths.append(len(codes)) or prefix_norms(codes))
+        wit = detect_undistorted(free_cancellation_context(2), commutator(A, B),
+                                 LimitScheme("arith", 8, k=2), 32)
+        assert wit.verdict == "undistorted"
+        assert lengths == [4 * n for n in range(1, 33)] + [256]
+
     @pytest.mark.parametrize("g, calls", [
-        # 32 for the walk, then 1,056 for the rays of the extension
-        (Heisenberg(1, 0, 0), 1088),
+        # 32 for the walk, then ||g^33||..||g^48|| as the evaluations at
+        # g^+-2..g^+-16 first need them (W + 16)
+        (Heisenberg(1, 0, 0), 48),
         # below the threshold: the walk alone
         (Heisenberg(0, 0, 1), 32),
     ])
