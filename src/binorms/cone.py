@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .groups import FreeWord, GroupElement, commutator
-from .norms import MAX_LETTERS, GroupContext, NormError, in_commutator_subgroup
+from . import norms
+from .norms import GroupContext, NormError, in_commutator_subgroup
 from .pqm import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCE,
@@ -62,7 +63,8 @@ class ConePoint:
 
     Index evaluations are memoised and deterministic; the growth bound is
     asserted at every index whose norm is evaluated, and a free word over
-    the kernel's ``MAX_LETTERS`` letters is refused before it is evaluated.
+    the kernel's ``norms.MAX_LETTERS`` letters is refused with the kernel's
+    ``BudgetError`` before it is evaluated.
     """
 
     def __init__(
@@ -84,11 +86,8 @@ class ConePoint:
             raise ValueError("cone sequences are indexed by n >= 1")
         if n not in self._elements:
             elem = self.generator(n)
-            if isinstance(elem, FreeWord) and len(elem) > MAX_LETTERS:
-                raise ConeError(
-                    f"index {n} of {self.label} has {len(elem)} letters, "
-                    f"over the {MAX_LETTERS}-letter evaluation cap"
-                )
+            if isinstance(elem, FreeWord):
+                norms.check_letters(len(elem))
             self._elements[n] = elem
         return self._elements[n]
 
@@ -162,21 +161,16 @@ def lift_function(
     f: PqmHandle,
     p: ConePoint,
     scheme: LimitScheme,
-    linear_bound_C: float | None = None,
+    linear_bound_C: float,
 ) -> ConeEstimate:
     """The induced functional at p: scheme-limit of f(p_n) / n.
 
-    Requires a linear-bound constant C with |f(g)| <= C ||g||; combined
-    with the point's growth certificate this is checked per index as
-    |f(p_n)| <= C * L * n without extra norm evaluations.
+    ``linear_bound_C`` is a constant C with |f(g)| <= C ||g||, measured or
+    proved (sigma + 2D for a partial quasimorphism with generator bound
+    sigma and defect D); combined with the point's growth certificate it is
+    checked per index as |f(p_n)| <= C * L * n without extra norm
+    evaluations.
     """
-    if linear_bound_C is None:
-        m = f.measured
-        if m is None or m.generator_bound_sigma is None or m.defect_D is None:
-            raise LinearBoundError(
-                f"no linear bound for {f.name}; pass linear_bound_C or measure constants"
-            )
-        linear_bound_C = float(m.generator_bound_sigma + 2 * m.defect_D)
     indices = scheme.indices()
     values = []
     cap = linear_bound_C * float(p.growth_bound)
@@ -195,20 +189,20 @@ class LiftedDefectReport:
     n_samples: int
     violations: int
     max_ratio: float
-    bound: float
 
 
 def lifted_defect_check(
     f: PqmHandle,
     point_pairs: Iterable[tuple[ConePoint, ConePoint]],
     scheme: LimitScheme,
-    linear_bound_C: float | None = None,
+    defect,
+    linear_bound_C: float,
 ) -> LiftedDefectReport:
-    """Check |F(p) - F(pq) + F(q)| <= D * min(cone norms) + DEFAULT_TOLERANCE over
-    sampled cone-point pairs, for the lift F of a measured handle f."""
-    if f.measured is None or f.measured.defect_D is None:
-        raise ConeError("lifted defect check needs measured constants on f")
-    dd = float(f.measured.defect_D)
+    """Check |F(p) - F(pq) + F(q)| <= D * min(cone norms) + DEFAULT_TOLERANCE
+    over sampled cone-point pairs, for the lift F of f with defect ``defect``
+    and linear bound ``linear_bound_C`` (see :func:`lift_function`), each
+    measured or proved."""
+    dd = float(defect)
     violations = 0
     worst = 0.0
     count = 0
@@ -224,7 +218,7 @@ def lifted_defect_check(
             violations += 1
         if m > 0:
             worst = max(worst, delta / m)
-    return LiftedDefectReport(count, violations, worst, dd)
+    return LiftedDefectReport(count, violations, worst)
 
 
 # ---------------------------------------------------------------------------

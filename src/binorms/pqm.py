@@ -1,10 +1,12 @@
 """Partial quasimorphisms as first-class values.
 
-A :class:`PqmHandle` is a real-valued function on a group context together
-with measured constants: the defect ``D`` (worst ratio of
+A :class:`PqmHandle` is a real-valued function on a group context: its
+name, the function and the context, nothing more.  Its constants are
+estimated from seeded samples -- the defect ``D`` (worst ratio of
 ``|f(g) - f(gh) + f(h)|`` against ``min(||g||, ||h||)``), the Lipschitz
-constant ``C``, and the generator bound ``sigma``.  On top of the handles
-the module provides:
+constant ``C`` and the generator bound ``sigma`` -- and the checks that
+need them take them as arguments, so a proved constant serves as well as a
+sampled one.  On top of the handles the module provides:
 
 * deterministic homogenisation under window schemes that stand in for a
   linear ultrafilter (plain / arithmetic / Cesaro windows, with the
@@ -83,31 +85,19 @@ class WalkSpecError(PqmError):
 
 
 # ---------------------------------------------------------------------------
-# handles and measured constants
-
-
-@dataclass
-class MeasuredConstants:
-    """Suprema over a recorded, seeded sample; reproducible by reseeding."""
-
-    defect_D: float | Fraction | None = None
-    lipschitz_C: float | Fraction | None = None
-    generator_bound_sigma: float | Fraction | None = None
-    seed: int = DEFAULT_SEED
-    n_samples: int = 0
-    worst_defect_pair: tuple[str, str] | None = None
-    worst_lipschitz_pair: tuple[str, str] | None = None
-    generator_argmax: str | None = None
+# handles
 
 
 @dataclass
 class PqmHandle:
-    """A deterministic function on a group context, plus measured data."""
+    """A deterministic function on a group context.
+
+    A handle holds no constants: the estimators below compute them from a
+    sample, and the checks take them as arguments."""
 
     name: str
     fn: Callable[[GroupElement], float]
     ctx: GroupContext
-    measured: MeasuredConstants | None = None
 
     def __call__(self, g: GroupElement):
         return self.fn(g)
@@ -359,42 +349,18 @@ def generator_bound(f: PqmHandle, generator_sample: Iterable[GroupElement],
     return SupremumEstimate("generator-bound", best, witness, count, seed)
 
 
-def measure_constants(f: PqmHandle, pairs, generators, seed: int = DEFAULT_SEED) -> MeasuredConstants:
-    """Measure (D, C, sigma) on the given samples and attach them to f."""
-    d = defect_estimate(f, pairs, seed=seed)
-    c = lipschitz_estimate(f, pairs, seed=seed)
-    s = generator_bound(f, generators, seed=seed)
-    measured = MeasuredConstants(
-        defect_D=d.value,
-        lipschitz_C=c.value,
-        generator_bound_sigma=s.value,
-        seed=seed,
-        n_samples=d.n_samples,
-        worst_defect_pair=d.witness,
-        worst_lipschitz_pair=c.witness,
-        generator_argmax=s.witness[0] if s.witness else None,
-    )
-    f.measured = measured
-    return measured
-
-
 @dataclass
 class ForwardCheckReport:
     n_samples: int
     violations: int
     worst_margin: float
-    sigma: float
-    defect: float
 
 
-def forward_inequalities_check(f: PqmHandle, pairs) -> ForwardCheckReport:
-    """Quantitative forward direction: with measured (sigma, D), every
-    sampled pair must satisfy |f(h)| <= (sigma + D) ||h|| and
-    |f(g) - f(gh)| <= (sigma + 2D) ||h||."""
-    if f.measured is None or f.measured.defect_D is None:
-        raise PqmError("forward check needs measured constants; run measure_constants")
-    sigma = f.measured.generator_bound_sigma
-    dd = f.measured.defect_D
+def forward_inequalities_check(f: PqmHandle, pairs, sigma, defect) -> ForwardCheckReport:
+    """Quantitative forward direction: with generator bound ``sigma`` and
+    defect ``defect`` (sampled by :func:`generator_bound` and
+    :func:`defect_estimate`, or proved), every sampled pair must satisfy
+    |f(h)| <= (sigma + D) ||h|| and |f(g) - f(gh)| <= (sigma + 2D) ||h||."""
     ctx = f.ctx
     violations = 0
     worst = 0.0
@@ -404,12 +370,12 @@ def forward_inequalities_check(f: PqmHandle, pairs) -> ForwardCheckReport:
         nh = ctx.norm_exact(h)
         lhs1 = abs(f(h))
         lhs2 = abs(f(g) - f(g * h))
-        bound1 = (sigma + dd) * nh
-        bound2 = (sigma + 2 * dd) * nh
+        bound1 = (sigma + defect) * nh
+        bound2 = (sigma + 2 * defect) * nh
         if lhs1 > bound1 or lhs2 > bound2:
             violations += 1
             worst = max(worst, float(lhs1 - bound1), float(lhs2 - bound2))
-    return ForwardCheckReport(count, violations, worst, float(sigma), float(dd))
+    return ForwardCheckReport(count, violations, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +498,7 @@ def antisymmetrise(f: PqmHandle) -> PqmHandle:
     def fn(g: GroupElement):
         return _exact_div(f(g) - f(g.inverse()), 2)
 
-    return PqmHandle(f"antisym({f.name})", fn, f.ctx, measured=None)
+    return PqmHandle(f"antisym({f.name})", fn, f.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +828,9 @@ def brooks_qm(pattern: FreeWord, ctx: GroupContext | None = None) -> PqmHandle:
 # unit-step walks
 
 
+WALK_KINDS = ("alternating", "all-up", "doubling-blocks")
+
+
 class Walk:
     """A unit-step walk w: Z -> Z with w(0) = 0, |w(n+1) - w(n)| = 1.
 
@@ -869,6 +838,10 @@ class Walk:
     """
 
     def __init__(self, kind: str):
+        if kind not in WALK_KINDS:
+            raise WalkSpecError(
+                f"malformed walk spec {kind!r}; expected {' | '.join(WALK_KINDS)}"
+            )
         self.kind = kind
 
     def __call__(self, n: int) -> int:
@@ -878,24 +851,18 @@ class Walk:
             return n
         if self.kind == "alternating":
             return n % 2
-        if self.kind == "doubling-blocks":
-            if n == 0:
-                return 0
-            # block j covers steps [2^j - 1, 2^{j+1} - 1), sign (-1)^j;
-            # boundary value w(2^j - 1) = (1 - (-2)^j) / 3
-            j = (n + 1).bit_length() - 1
-            boundary = (1 - (-2) ** j) // 3
-            sign = 1 if j % 2 == 0 else -1
-            return boundary + sign * (n - (2 ** j - 1))
-        raise WalkSpecError(f"unknown walk kind {self.kind!r}")
+        # doubling-blocks: block j covers steps [2^j - 1, 2^{j+1} - 1), sign
+        # (-1)^j; boundary value w(2^j - 1) = (1 - (-2)^j) / 3
+        if n == 0:
+            return 0
+        j = (n + 1).bit_length() - 1
+        boundary = (1 - (-2) ** j) // 3
+        sign = 1 if j % 2 == 0 else -1
+        return boundary + sign * (n - (2 ** j - 1))
 
 
 def walk_build(spec: str) -> Walk:
     """Built-in walks: ``alternating``, ``all-up``, ``doubling-blocks``."""
-    if spec not in ("alternating", "all-up", "doubling-blocks"):
-        raise WalkSpecError(
-            f"malformed walk spec {spec!r}; expected alternating | all-up | doubling-blocks"
-        )
     return Walk(spec)
 
 

@@ -38,12 +38,13 @@ from binorms.pqm import (
     brooks_qm,
     c_trick_witness,
     coordinate_handle,
+    defect_estimate,
     detect_undistorted,
     fekete_limit,
     forward_inequalities_check,
+    generator_bound,
     homogenise,
     mcshane_extend,
-    measure_constants,
     norm_handle,
     walk_build,
     walk_handle,
@@ -135,8 +136,9 @@ def test_criterion_04_forward_inequalities_with_measured_constants():
     for f, draw in cases:
         pairs = sample_pairs(draw, 4242, N_SAMPLES)
         generators = f.ctx.generator_sample(4242, 100)
-        measure_constants(f, pairs, generators, seed=4242)
-        report = forward_inequalities_check(f, pairs)
+        sigma = generator_bound(f, generators).value
+        defect = defect_estimate(f, pairs).value
+        report = forward_inequalities_check(f, pairs, sigma, defect)
         total_violations += report.violations
     _report(4, "Lipschitz bounds from measured (sigma, D)", total_violations == 0)
 

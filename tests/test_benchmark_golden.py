@@ -12,7 +12,9 @@ worker does, and compares the canonical result with
 * `power-windows` `detect-L1`..`detect-L3`: the detector on the
   cancellation-DP backend;
 * `job-batch` `walk` and `fekete`: tail means of ``pqm.scheme_limit`` that
-  a summation in another order would change.
+  a summation in another order would change;
+* `power-windows` `cone-L4` and `job-batch` `cone` and `pullback`: cone
+  points, cone norms and distances, and pullback defects.
 """
 
 import json
@@ -24,8 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 GUARDED = (
     ("job-batch", ("perm-bfs5", "perm-bfs6", "expected-error", "lattice-detect", "heis-detect",
-                   "lattice-extend", "walk", "fekete")),
-    ("power-windows", ("detect-L1", "detect-L2", "detect-L3")),
+                   "lattice-extend", "walk", "fekete", "cone", "pullback")),
+    ("power-windows", ("detect-L1", "detect-L2", "detect-L3", "cone-L4")),
 )
 
 RUN = (
@@ -57,5 +59,5 @@ def test_guarded_strata_match_golden():
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     outcome = json.loads(done.stdout.splitlines()[-1])
-    assert outcome["ran"] == 333
+    assert outcome["ran"] == 453
     assert outcome["differing"] == []

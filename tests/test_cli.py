@@ -457,6 +457,13 @@ class TestMainEntry:
         assert code == 1
         assert ",error,E_BUDGET," in capsys.readouterr().out
 
+    def test_cone_element_over_the_kernel_letter_cap_is_a_budget_row(self, capsys):
+        # index 7 of eta((a b)^300) has 4,200 letters: the row a norm job on it gives
+        code = main(["cone-norm", "--family", "free", "--element", " ".join(["a b"] * 300),
+                     "--reproducible"])
+        assert code == 1
+        assert ",error,E_BUDGET," in capsys.readouterr().out
+
     def test_run_window_override_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "cone.spec"
         spec.write_text("job {\n  task = cone-norm\n  family = lattice\n"

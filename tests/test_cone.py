@@ -21,7 +21,9 @@ from binorms.cone import (
     pullback_defect,
     unit_ball_word_norm,
 )
+from binorms import norms
 from binorms.norms import (
+    BudgetError,
     NormError,
     commutator_length_context,
     free_cancellation_context,
@@ -33,8 +35,9 @@ from binorms.pqm import (
     PqmHandle,
     brooks_qm,
     coordinate_handle,
+    defect_estimate,
+    generator_bound,
     homogenise,
-    measure_constants,
     norm_handle,
     scaled_coordinate_handle,
 )
@@ -70,6 +73,15 @@ class TestConeNorm:
         p = ConePoint(Z, lambda n: LatticeVector((n * n,)), 1, label="n^2")
         with pytest.raises(GrowthCertificateError):
             cone_norm(p, SCHEME8)
+
+    def test_element_over_the_kernel_letter_cap_is_a_budget_error(self):
+        # the cone refuses a long word with the kernel's own check and message
+        p = ConePoint(F2, lambda n: A ** 5000, 5000)
+        with pytest.raises(BudgetError) as refused:
+            p.element_at(1)
+        with pytest.raises(BudgetError) as kernel:
+            norms.check_letters(5000)
+        assert str(refused.value) == str(kernel.value)
 
 
 class TestConeDist:
@@ -164,35 +176,39 @@ class TestLiftFunction:
 
 
 class TestLiftedDefect:
-    def _measured(self, f, draw, seed):
+    def _constants(self, f, draw, seed):
+        """(sigma, D) of f on a seeded sample."""
         pairs = sample_pairs(draw, seed, 300)
         gens = f.ctx.generator_sample(seed, 40)
-        measure_constants(f, pairs, gens, seed=seed)
-        return f
+        return generator_bound(f, gens).value, defect_estimate(f, pairs).value
 
     def test_homomorphism_lifts_to_zero_defect(self):
-        f = self._measured(coordinate_handle(Z2), element_sampler("lattice", dim=2, box=6), 41)
+        f = coordinate_handle(Z2)
+        _, defect = self._constants(f, element_sampler("lattice", dim=2, box=6), 41)
         rng = random.Random(42)
         draw = element_sampler("lattice", dim=2, box=4)
         pairs = [(eta(Z2, draw(rng)), eta(Z2, draw(rng))) for _ in range(20)]
-        report = lifted_defect_check(f, pairs, SCHEME8, linear_bound_C=1.0)
+        report = lifted_defect_check(f, pairs, SCHEME8, defect, linear_bound_C=1.0)
         assert report.violations == 0 and report.max_ratio == 0
 
     def test_integer_norm_lift(self):
-        f = self._measured(norm_handle(Z), element_sampler("lattice", dim=1, box=6), 43)
+        f = norm_handle(Z)
+        _, defect = self._constants(f, element_sampler("lattice", dim=1, box=6), 43)
         rng = random.Random(44)
         pairs = [(eta(Z, LatticeVector((rng.randint(-5, 5),))),
                   eta(Z, LatticeVector((rng.randint(-5, 5),)))) for _ in range(20)]
-        report = lifted_defect_check(f, pairs, SCHEME8, linear_bound_C=1.0)
+        report = lifted_defect_check(f, pairs, SCHEME8, defect, linear_bound_C=1.0)
         assert report.violations == 0
         assert report.max_ratio <= 2
 
     def test_brooks_lift_bounded_by_measured_defect(self):
-        f = self._measured(brooks_qm(A * B), element_sampler("free", rank=2, max_len=4), 45)
+        f = brooks_qm(A * B)
+        sigma, defect = self._constants(f, element_sampler("free", rank=2, max_len=4), 45)
         rng = random.Random(46)
         draw = element_sampler("free", rank=2, max_len=2)
         pairs = [(eta(F2, draw(rng)), eta(F2, draw(rng))) for _ in range(12)]
-        report = lifted_defect_check(f, pairs, SCHEME8)
+        report = lifted_defect_check(f, pairs, SCHEME8, defect,
+                                     linear_bound_C=float(sigma + 2 * defect))
         assert report.violations == 0
 
 

@@ -27,6 +27,7 @@ from binorms.pqm import (
     LimitScheme,
     PqmError,
     SubadditiveCorrection,
+    Walk,
     WalkSpecError,
     WindowCertificateError,
     antisymmetrise,
@@ -43,7 +44,6 @@ from binorms.pqm import (
     homogenised_handle,
     lipschitz_estimate,
     mcshane_extend,
-    measure_constants,
     norm_handle,
     scaled_coordinate_handle,
     scheme_limit,
@@ -152,9 +152,10 @@ class TestLipschitzEstimate:
         for f, draw, ctx in cases:
             pairs = sample_pairs(draw, 11, 400)
             gens = ctx.generator_sample(11, 60)
-            measure_constants(f, pairs, gens, seed=11)
+            sigma = generator_bound(f, gens).value
+            defect = defect_estimate(f, pairs).value
             c_hat = lipschitz_estimate(f, pairs).value
-            bound = f.measured.generator_bound_sigma + 2 * f.measured.defect_D
+            bound = sigma + 2 * defect
             assert float(c_hat) <= float(bound) + 1e-9
 
 
@@ -721,8 +722,14 @@ class TestWalks:
             acc += 1 if j % 2 == 0 else -1
 
     def test_malformed_spec(self):
-        with pytest.raises(WalkSpecError):
+        with pytest.raises(WalkSpecError) as built:
             walk_build("sideways")
+        # a walk of an unknown kind is refused when constructed, not at its
+        # first call, with the same message
+        with pytest.raises(WalkSpecError) as constructed:
+            Walk("sideways")
+        assert str(constructed.value) == str(built.value)
+        assert "expected alternating | all-up | doubling-blocks" in str(built.value)
 
 
 def test_forward_inequalities_on_builtins():
@@ -735,6 +742,7 @@ def test_forward_inequalities_on_builtins():
     for f, draw in cases:
         pairs = sample_pairs(draw, 23, 500)
         gens = f.ctx.generator_sample(23, 50)
-        measure_constants(f, pairs, gens, seed=23)
-        report = forward_inequalities_check(f, pairs)
+        sigma = generator_bound(f, gens).value
+        defect = defect_estimate(f, pairs).value
+        report = forward_inequalities_check(f, pairs, sigma, defect)
         assert report.violations == 0
