@@ -320,7 +320,6 @@ ERROR_CODES = [
     (FeketeHypothesisError, "E_FEKETE_HYPOTHESIS"),
     (WalkSpecError, "E_WALK_SPEC"),
     (cone_mod.GrowthCertificateError, "E_GROWTH_CERT"),
-    (cone_mod.LinearBoundError, "E_LINEAR_BOUND"),
     (cone_mod.ConeError, "E_CONE"),
     (PqmError, "E_PQM"),
     (BudgetError, "E_BUDGET"),

@@ -26,8 +26,10 @@ one conjugate of a generator.  So one row of the plain concatenation
 ``|h| + n |g|``.  The McShane extension of n -> c*n from <g> keeps one
 such row of powers of g as its table of ``||g^j||``, j <= 2W, which every
 evaluation at a power of g reads; any other point reads two rows, of
-``h g^-1 ... g^-1`` and of ``h g ... g``.  ``cancellation_dp`` is the last
-entry of the row.
+``h g^-1 ... g^-1`` and of ``h g ... g``.  ``detect`` reads the
+homogenised anti-symmetrised values at g^+-n off that table by exponent,
+with no evaluation call and no second walk of the powers.
+``cancellation_dp`` is the last entry of the row.
 
 Kernel input format: any sequence of signed generator codes
 ``sign * index`` (index >= 1) -- a tuple, a list or a numpy integer array.

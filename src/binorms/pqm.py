@@ -27,6 +27,7 @@ allow it, so "equals exactly" tests really mean exact equality.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -532,12 +533,14 @@ class McShaneExtension:
     as each power is reached; ``c=None`` takes c as the walk's growth
     floor min ||g^n||/n.
 
-    The walk also keeps each power g^m, |m| <= W, with its exponent, and
-    the table T[j] = ||g^j|| of exact norms, T[0..W] off the walk.  At
-    h = g^m every distance the evaluation reads is some T[|m -+ n|], so it
-    reads the table; entries past W come from one ray along g when an
-    evaluation first needs them.  Any other h reads two rays,
-    ||h g^-n|| and ||h g^n|| for n = 0..W.
+    The walk also keeps each power g^m, 0 <= m <= W + 1, and the table
+    T[j] = ||g^j|| of exact norms, T[0..W] off the walk.  At h = g^m,
+    |m| <= W, every distance the evaluation reads is some T[|m -+ n|], so
+    it reads the table (:meth:`_scaled_power_value`); entries past W come
+    from one ray along g, from g^(W+1), when an evaluation first needs
+    them.  Any other h reads two rays, ||h g^-n|| and ||h g^n|| for
+    n = 0..W; the map from each power g^m, |m| <= W, to its exponent that
+    tells the two apart is built on the first such evaluation.
     """
 
     def __init__(self, ctx: GroupContext, g: GroupElement, c, window: int):
@@ -559,7 +562,7 @@ class McShaneExtension:
                 self.trace.append((n, 0, Fraction(0)))
                 raise FiniteOrderError(f"{g.encode()} has order {n} <= window", self.trace)
             norm = ctx.norm_exact(power)
-            ratio = Fraction(norm) / n
+            ratio = Fraction(norm, n)
             self.trace.append((n, norm, ratio))
             self._powers.append(power)
             self._table.append(_exact(norm))
@@ -567,10 +570,13 @@ class McShaneExtension:
                 raise WindowCertificateError(f"||g^{n}|| = {ratio * n} < c*n = {self.c * n}")
         if self.c is None:
             self.c = min(ratio for _, _, ratio in self.trace)
+        # the walk's next power: where a ray along g extends the table
+        self._powers.append(power * g)
         self._g_inverse = g.inverse()
-        self._exponent = {p: n for n, p in enumerate(self._powers)}
-        for n in range(1, window + 1):
-            self._exponent.setdefault(self._powers[n].inverse(), -n)
+        # entry j: the least q*T[i] - p*i and the least q*T[i] + p*i over
+        # i <= j, as far as the table
+        self._least_minus = [0]
+        self._least_plus = [0]
         # the kernel caps its words at MAX_LETTERS, and one row holds the
         # norm of every prefix of its word
         self._kernel = ctx.backend == "cancellation-dp"
@@ -582,6 +588,16 @@ class McShaneExtension:
         self._neg_reach = ((self.c.denominator * self.tail_floor.numerator
                             - self.c.numerator * self._tail_den) * (window + 1))
 
+    @functools.cached_property
+    def _exponent(self) -> dict:
+        """Each power g^m, |m| <= W, by its exponent (the negative powers
+        are the inverses of the walked ones)."""
+        window = self.window
+        exponent = {p: n for n, p in enumerate(self._powers[:window + 1])}
+        for n in range(1, window + 1):
+            exponent.setdefault(self._powers[n].inverse(), -n)
+        return exponent
+
     def _table_to(self, reach: int) -> list:
         """The table through T[reach] at least.  One ray along g, from the
         first power past the table, extends it; on the kernel that ray runs
@@ -591,12 +607,32 @@ class McShaneExtension:
         top = len(table) - 1
         if reach > top:
             g = self.g
-            start = self._powers[-1] * self._powers[top + 1 - self.window]  # g^(top + 1)
-            if self._kernel and (len(start.codes()) + (2 * self.window - top - 1) * len(g.codes())
+            window = self.window
+            start = (self._powers[top + 1] if top == window  # g^(top + 1)
+                     else self._powers[window] * self._powers[top + 1 - window])
+            if self._kernel and (len(start.codes()) + (2 * window - top - 1) * len(g.codes())
                                  <= norms.MAX_LETTERS):
-                reach = 2 * self.window
+                reach = 2 * window
             table.extend(map(_exact, self.ctx.ray_norms(start, g, reach - top - 1)))
         return table
+
+    def _scaled_power_value(self, m: int):
+        """q * f(g^m) for |m| <= W, with c = p/q: the least p*j + q*T[|m - j|]
+        over |j| <= W, in integers.  With i = m - j that is p*m plus the
+        least q*T[|i|] - p*i over i = m - W .. m + W, a range around 0, so
+        it is the smaller of two prefix minima: of q*T[i] - p*i through
+        i = m + W and of q*T[i] + p*i through i = W - m."""
+        p, q = self.c.numerator, self.c.denominator
+        window = self.window
+        if self._kernel:
+            # the cap of the ray on g^m g^-W; the table's row is no longer
+            norms.check_letters(len(self._powers[abs(m)].codes()) + window * len(self.g.codes()))
+        table = self._table_to(abs(m) + window)
+        minus, plus = self._least_minus, self._least_plus
+        for i in range(len(minus), len(table)):
+            minus.append(min(minus[-1], q * table[i] - p * i))
+            plus.append(min(plus[-1], q * table[i] + p * i))
+        return p * m + min(minus[m + window], plus[window - m])
 
     def eval_with_certificate(self, h: GroupElement) -> tuple[Fraction, ExtensionCertificate]:
         # with c = p/q, compare q * (c*n + d(h, g^n)) = p*n + q*||h g^-n||
@@ -607,19 +643,15 @@ class McShaneExtension:
         if m is None:
             back = [*map(_exact, self.ctx.ray_norms(h, self._g_inverse, window))]
             ahead = [*map(_exact, self.ctx.ray_norms(h, self.g, window))]
+            nh = back[0]
+            best_q = q * nh  # n = 0 term: d(h, 1) = ||h||
+            for n in range(1, window + 1):
+                term = min(p * n + q * back[n], q * ahead[n] - p * n)
+                if term < best_q:
+                    best_q = term
         else:
-            if self._kernel:
-                # the cap of the ray on h g^-W; the table's row is no longer
-                norms.check_letters(len(h.codes()) + window * len(self.g.codes()))
-            table = self._table_to(abs(m) + window)
-            back = [table[abs(m - n)] for n in range(window + 1)]
-            ahead = [table[abs(m + n)] for n in range(window + 1)]
-        nh = back[0]
-        best_q = q * nh  # n = 0 term: d(h, 1) = ||h||
-        for n in range(1, window + 1):
-            term = min(p * n + q * back[n], q * ahead[n] - p * n)
-            if term < best_q:
-                best_q = term
+            best_q = self._scaled_power_value(m)
+            nh = self._table[abs(m)]
         pos_closed = p * (window + 1) > best_q
         neg_closed = self._neg_reach - q * self._tail_den * nh > self._tail_den * best_q
         return Fraction(best_q, q), ExtensionCertificate(pos_closed and neg_closed, pos_closed,
@@ -660,11 +692,12 @@ def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
     The detector is the extension of n -> c_est * n with c = None, so
     c_est is the window minimum of ||g^n||/n and the trace is the
     extension's power walk (the walk up to the identity power on an
-    element of finite order).  Above the threshold it anti-symmetrises and
-    homogenises the extension along the arithmetic scheme, and returns the
-    resulting handle with its value at g.  Otherwise the verdict is
-    "distorted-or-undecided": a bounded window can never certify sublinear
-    growth, so "distorted" is never claimed.
+    element of finite order).  Above the threshold it returns the
+    extension, anti-symmetrised and homogenised along the arithmetic
+    scheme, as a lazy handle, with its value at g read off the extension's
+    norm table by exponent: no evaluation and no second walk.  Otherwise
+    the verdict is "distorted-or-undecided": a bounded window can never
+    certify sublinear growth, so "distorted" is never claimed.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -684,11 +717,16 @@ def detect_undistorted(ctx: GroupContext, g: GroupElement, scheme: LimitScheme,
         return UndistortionWitness(
             "distorted-or-undecided", c_est, None, None, trace, threshold, scheme,
         )
-    anti = antisymmetrise(ext.handle)
-    hom = homogenise(anti, g, scheme)
-    handle = homogenised_handle(anti, scheme)
+    # the anti-symmetrised extension at g^n over n, (f(g^n) - f(g^-n)) / 2n,
+    # read off the extension's table in the order of an evaluation at g^n
+    # and then at g^-n, so a BudgetError is the one those would raise
+    q2 = 2 * c_est.denominator
+    values = [Fraction(ext._scaled_power_value(n) - ext._scaled_power_value(-n), q2 * n)
+              for n in scheme.indices()]
+    handle = homogenised_handle(antisymmetrise(ext.handle), scheme)
     return UndistortionWitness(
-        "undistorted", c_est, hom.estimate, handle, trace, threshold, scheme, ext,
+        "undistorted", c_est, scheme_limit(scheme, values)[0], handle, trace, threshold,
+        scheme, ext,
     )
 
 

@@ -22,9 +22,12 @@ from binorms.norms import (
     symmetric_transposition_context,
 )
 from binorms.pqm import (
+    DETECT_ABS_THRESHOLD,
+    DETECT_REL_THRESHOLD,
     FeketeHypothesisError,
     FiniteOrderError,
     LimitScheme,
+    McShaneExtension,
     PqmError,
     SubadditiveCorrection,
     Walk,
@@ -546,7 +549,100 @@ class TestMcShaneAgainstThePerPowerLoop:
         assert raised[True] and raised[False]
 
 
+def composed_detect(ctx, g, scheme, window):
+    """(verdict, c_est, value_at_g, trace) of detect_undistorted with its
+    value at g as the general composition it reads off the norm table,
+    ``homogenise(antisymmetrise(ext.handle), g, scheme).estimate``; kept
+    as its reference."""
+    if scheme.k * scheme.window > window:
+        raise ValueError(f"scheme reaches power {scheme.k * scheme.window} beyond the "
+                         f"certified window {window}")
+    try:
+        ext = mcshane_extend(ctx, g, None, window)
+    except FiniteOrderError as err:
+        return "distorted-or-undecided", Fraction(0), None, tuple(err.trace)
+    threshold = max(DETECT_ABS_THRESHOLD, DETECT_REL_THRESHOLD * float(ext.trace[0][1]))
+    if float(ext.c) <= threshold:
+        return "distorted-or-undecided", ext.c, None, tuple(ext.trace)
+    value = homogenise(antisymmetrise(ext.handle), g, scheme).estimate
+    return "undistorted", ext.c, value, tuple(ext.trace)
+
+
+def _outcome(detect, ctx, g, scheme, window):
+    """What a detect gives: its four fields, or its error's type and message."""
+    try:
+        result = detect(ctx, g, scheme, window)
+    except (ValueError, BudgetError) as err:
+        return type(err), str(err)
+    if isinstance(result, tuple):
+        return result
+    return result.verdict, result.c_est, result.value_at_g, result.trace
+
+
+# the commutator words have c = 8/7 and 5/3 at W = 8
+DETECT_CASES = {
+    "free": (F2, _free_words(2, 5).filter(lambda w: not w.is_identity()) | st.sampled_from(
+        [F2.decode(w) for w in ("a a b", "a b a^-1 b^-1", "a a b a^-1 b^-1", "b^-1 a b")])),
+    "lattice": (Z2, st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda t: t != (0, 0)).map(LatticeVector)),
+    "heisenberg": (heisenberg_context(), st.tuples(*[st.integers(-2, 2)] * 3).filter(
+        lambda t: t != (0, 0, 0)).map(lambda t: Heisenberg(*t))),
+}
+
+
 class TestDetectUndistorted:
+    @pytest.mark.parametrize("kind", sorted(DETECT_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), window=st.integers(2, 16), k=st.sampled_from([1, 2]))
+    def test_matches_the_composition(self, kind, data, window, k):
+        """Same verdict, c_est, value at g and trace as the composition; a
+        window under the scheme's reach is the same ValueError."""
+        ctx, elements = DETECT_CASES[kind]
+        g = data.draw(elements)
+        scheme = LimitScheme("arith", data.draw(st.integers(8, max(8, window // k))), k=k)
+        new = _outcome(detect_undistorted, ctx, g, scheme, window)
+        old = _outcome(composed_detect, ctx, g, scheme, window)
+        assert new == old and [type(v) for v in new] == [type(v) for v in old]
+
+    @pytest.mark.parametrize("g", [A * B, B.inverse() * A * B], ids=["ab", "b^-1ab"])
+    def test_letter_cap_matches_the_composition(self, g, monkeypatch):
+        """Under a lowered kernel cap the detect raises the composition's
+        first BudgetError, message and all, or returns its witness; each
+        side runs on a context of its own, so no memoised row skips a cap.
+        Windows under 8 hold no arithmetic scheme and raise ValueError."""
+        scheme = LimitScheme("arith", 8, k=1)
+        seen = set()
+        for cap in (16, 24, 32, 40, 48, 64):
+            monkeypatch.setattr(norms, "MAX_LETTERS", cap)
+            for window in range(2, 17):
+                if len((g ** window).codes()) > cap:
+                    continue  # the walk itself is over the cap
+                new = _outcome(detect_undistorted, free_cancellation_context(2), g, scheme, window)
+                old = _outcome(composed_detect, free_cancellation_context(2), g, scheme, window)
+                assert new == old
+                seen.add(new[0])
+        assert seen == {ValueError, BudgetError, "undistorted"}
+
+    def test_no_evaluation_and_no_product_after_the_walk(self, monkeypatch):
+        """A free detect above the threshold reads its value off the norm
+        table: no evaluation of the extension, and no product once the
+        extension's constructor has returned."""
+        g = commutator(A, B)
+        products, evals, after_walk = [], [], []
+        mul, init = FreeWord.__mul__, McShaneExtension.__init__
+        evaluate = McShaneExtension.eval_with_certificate
+        monkeypatch.setattr(FreeWord, "__mul__",
+                            lambda self, other: products.append(1) or mul(self, other))
+        monkeypatch.setattr(McShaneExtension, "__init__", lambda self, *args: (
+            init(self, *args), after_walk.append(len(products)))[0])
+        monkeypatch.setattr(McShaneExtension, "eval_with_certificate",
+                            lambda self, h: evals.append(h) or evaluate(self, h))
+        wit = detect_undistorted(free_cancellation_context(2), g, LimitScheme("arith", 8, k=2), 32)
+        assert wit.verdict == "undistorted"
+        assert evals == [] and after_walk == [len(products)]
+        # the returned handle still evaluates the extension
+        assert wit.pqm(g) == wit.value_at_g and evals
+
     def test_integer_five(self):
         wit = detect_undistorted(Z, zint(5), LimitScheme("arith", 8, k=2), 64)
         assert wit.verdict == "undistorted"
