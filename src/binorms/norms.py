@@ -329,6 +329,7 @@ class BfsBall:
                  memory_cap: int = MEMORY_CAP):
         self._generator_set = set(generators)
         self.generators = sorted(self._generator_set, key=lambda e: e.encode())
+        self._inverse_generators = [s.inverse() for s in self.generators]
         self.memory_cap = memory_cap
         self.distances: dict[GroupElement, int] = {identity: 0}
         self.radius = 0
@@ -355,9 +356,12 @@ class BfsBall:
         there is none, or when the cap stops the ball first.
 
         Level k is tested by lookup before it is built (g is on it iff
-        e^-1 g is a generator for some e on level k-1), so level k_max is
+        g = e s for some e on level k-1 and generator s), so level k_max is
         never built, a ball already grown past k just reads its table, and
         a truncated ball still tests the level after its last complete one.
+        The test takes min(|S|, |frontier|) products: g s^-1 looked up on
+        level k-1 for each generator s, or e^-1 g against the generators
+        for each e on the frontier.
         """
         found = self.distances.get(g)
         if found is not None:
@@ -365,7 +369,13 @@ class BfsBall:
         for k in range(self.radius + 1, k_max + 1):
             if k > self.radius + 1 or not self._frontier:
                 return None  # the cap stopped level k - 1, or the group is exhausted
-            if any(e.inverse() * g in self._generator_set for e in self._frontier):
+            if len(self._inverse_generators) < len(self._frontier):
+                # the frontier is every element at distance radius
+                hit = any(self.distances.get(g * t) == self.radius
+                          for t in self._inverse_generators)
+            else:
+                hit = any(e.inverse() * g in self._generator_set for e in self._frontier)
+            if hit:
                 return k
             if k < k_max:
                 self.grow_to(k)

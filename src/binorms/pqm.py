@@ -274,6 +274,70 @@ class SupremumEstimate:
     zero_min_violations: int = 0
 
 
+class _Supremum:
+    """The running supremum of a stream of values and the elements attaining it.
+
+    It starts at ``Fraction(0)``.  A value replaces the supremum, by value
+    and type, only when it is strictly larger; ties break by canonical
+    encoding order, so the reported attaining elements are independent of
+    evaluation order, and the elements are encoded only when they can
+    become the witness.  An exact supremum is kept as an integer pair
+    ``num / den`` (``den > 0``): an exact value is compared against it by
+    cross-multiplication, and one ``Fraction`` is built when it is read.
+    Any other value (a float, or an ``int`` bound) is compared as it is.
+    """
+
+    __slots__ = ("num", "den", "other", "witness")
+
+    def __init__(self):
+        self.num, self.den = 0, 1
+        self.other = None  # the supremum when it is not an exact Fraction
+        self.witness = None
+
+    def value(self):
+        return Fraction(self.num, self.den) if self.other is None else self.other
+
+    def offer_quotient(self, a, b, elements) -> None:
+        """Offer ``_exact_div(a, b)``, with no Fraction built for an int
+        ``b > 0`` over an int or Fraction ``a``."""
+        if type(b) is int and b > 0 and self.other is None:
+            if type(a) is int:
+                return self._offer_exact(a, b, elements)
+            if type(a) is Fraction:
+                return self._offer_exact(a.numerator, a.denominator * b, elements)
+        self.offer(_exact_div(a, b), elements)
+
+    def offer(self, value, elements) -> None:
+        if type(value) is Fraction and self.other is None:
+            return self._offer_exact(value.numerator, value.denominator, elements)
+        best = self.value()
+        if self.witness is not None and not value >= best:
+            return
+        pair = tuple(e.encode() for e in elements)
+        if self.witness is None or value > best:
+            best = max(best, value)
+            if type(best) is Fraction:
+                self.num, self.den, self.other = best.numerator, best.denominator, None
+            else:
+                self.other = best
+            self.witness = pair
+        else:
+            self.witness = min(pair, self.witness)
+
+    def _offer_exact(self, num: int, den: int, elements) -> None:
+        excess = num * self.den - self.num * den  # the sign of num/den - supremum
+        if self.witness is not None and excess < 0:
+            return
+        pair = tuple(e.encode() for e in elements)
+        if excess > 0:
+            self.num, self.den = num, den
+            self.witness = pair
+        elif self.witness is None:
+            self.witness = pair
+        else:
+            self.witness = min(pair, self.witness)
+
+
 def defect_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupElement]],
                     seed: int | None = None) -> SupremumEstimate:
     """D-hat = max |f(g) - f(gh) + f(h)| / min(||g||, ||h||) over the sample.
@@ -281,38 +345,32 @@ def defect_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupEleme
     Pairs where min(||g||, ||h||) = 0 contain the identity; there the
     coboundary is forced to equal f(1) and is checked to vanish separately.
     Requires exact norms on all sampled elements.
+
+    Each pair evaluates ||g||, ||h||, f(g), f(gh), f(h) in that order,
+    except that while consecutive pairs share the same g object, ||g|| and
+    f(g) are read once, at the first pair of the run.  So f and the norm
+    must be deterministic, and the first exception raised is the one a
+    pair-by-pair evaluation raises.
     """
     ctx = f.ctx
-    best = Fraction(0)
-    witness = None
+    sup = _Supremum()
     zero_min_bad = 0
     count = 0
+    last_g = object()  # matches no g
     for g, h in pairs:
         count += 1
-        m = min(ctx.norm_exact(g), ctx.norm_exact(h))
-        delta = abs(f(g) - f(g * h) + f(h))
+        if g is not last_g:
+            norm_g = ctx.norm_exact(g)
+        m = min(norm_g, ctx.norm_exact(h))
+        if g is not last_g:
+            f_g, last_g = f(g), g
+        delta = abs(f_g - f(g * h) + f(h))
         if m == 0:
             if delta != 0:
                 zero_min_bad += 1
             continue
-        ratio = _exact_div(delta, m)
-        best, witness = _keep_supremum(ratio, (g, h), best, witness)
-    return SupremumEstimate("defect", best, witness, count, seed, zero_min_bad)
-
-
-def _keep_supremum(ratio, elements, best, witness):
-    """The new (best, witness) after seeing ``ratio`` at ``elements``.
-
-    Ties on the supremum break by canonical encoding order, so the
-    reported attaining pair is independent of evaluation order.  The
-    elements are encoded only when they can become the witness.
-    """
-    if witness is not None and not ratio >= best:
-        return best, witness
-    pair = tuple(e.encode() for e in elements)
-    if witness is None or ratio > best:
-        return max(best, ratio), pair
-    return best, min(pair, witness)
+        sup.offer_quotient(delta, m, (g, h))
+    return SupremumEstimate("defect", sup.value(), sup.witness, count, seed, zero_min_bad)
 
 
 def _exact(value):
@@ -322,32 +380,38 @@ def _exact(value):
 
 def lipschitz_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupElement]],
                        seed: int | None = None) -> SupremumEstimate:
-    """C-hat = max |f(g) - f(h)| / d(g, h) over sampled distinct pairs."""
+    """C-hat = max |f(g) - f(h)| / d(g, h) over sampled distinct pairs.
+
+    Each pair evaluates d(g, h), f(g), f(h) in that order, except that
+    while consecutive pairs share the same g object, f(g) is read once, at
+    the first pair of the run that is evaluated (pairs with g == h are
+    skipped).  The ratio is exact and its supremum kept as in
+    :func:`defect_estimate`.
+    """
     ctx = f.ctx
-    best = Fraction(0)
-    witness = None
+    sup = _Supremum()
     count = 0
+    last_g = object()  # matches no g
     for g, h in pairs:
         if g == h:
             continue
         count += 1
         d = ctx.dist(g, h)
-        ratio = _exact_div(abs(f(g) - f(h)), d)
-        best, witness = _keep_supremum(ratio, (g, h), best, witness)
-    return SupremumEstimate("lipschitz", best, witness, count, seed)
+        if g is not last_g:
+            f_g, last_g = f(g), g
+        sup.offer_quotient(abs(f_g - f(h)), d, (g, h))
+    return SupremumEstimate("lipschitz", sup.value(), sup.witness, count, seed)
 
 
 def generator_bound(f: PqmHandle, generator_sample: Iterable[GroupElement],
                     seed: int | None = None) -> SupremumEstimate:
     """sigma-hat = max |f(s)| over the sampled generating set."""
-    best = Fraction(0)
-    witness = None
+    sup = _Supremum()
     count = 0
     for s in generator_sample:
         count += 1
-        v = abs(f(s))
-        best, witness = _keep_supremum(v, (s,), best, witness)
-    return SupremumEstimate("generator-bound", best, witness, count, seed)
+        sup.offer(abs(f(s)), (s,))
+    return SupremumEstimate("generator-bound", sup.value(), sup.witness, count, seed)
 
 
 @dataclass

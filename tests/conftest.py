@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from binorms.groups import FreeWord
 
@@ -110,3 +111,61 @@ def frozen_product_search(g, factors, identity, k_max, cap, lower):
                 return NormInterval(lower, math.inf, False)
         frontier = nxt
     return NormInterval(lower, math.inf, False)
+
+
+def _reference_keep_supremum(ratio, elements, best, witness):
+    """Frozen copy of the original running supremum: the new (best,
+    witness) after seeing ``ratio`` at ``elements``, ties broken by
+    canonical encoding order."""
+    if witness is not None and not ratio >= best:
+        return best, witness
+    pair = tuple(e.encode() for e in elements)
+    if witness is None or ratio > best:
+        return max(best, ratio), pair
+    return best, min(pair, witness)
+
+
+def reference_defect_estimate(f, pairs):
+    """Frozen copy of the original defect loop: every pair evaluates
+    ||g||, ||h||, f(g), f(gh), f(h) and one exact-division ratio.
+    Returns (value, witness, n_samples, zero_min_violations)."""
+    from binorms.pqm import _exact_div
+
+    ctx = f.ctx
+    best, witness, zero_min_bad, count = Fraction(0), None, 0, 0
+    for g, h in pairs:
+        count += 1
+        m = min(ctx.norm_exact(g), ctx.norm_exact(h))
+        delta = abs(f(g) - f(g * h) + f(h))
+        if m == 0:
+            if delta != 0:
+                zero_min_bad += 1
+            continue
+        best, witness = _reference_keep_supremum(_exact_div(delta, m), (g, h), best, witness)
+    return best, witness, count, zero_min_bad
+
+
+def reference_lipschitz_estimate(f, pairs):
+    """Frozen copy of the original Lipschitz loop: every distinct pair
+    evaluates d(g, h), f(g), f(h).  Returns (value, witness, n_samples, 0)."""
+    from binorms.pqm import _exact_div
+
+    ctx = f.ctx
+    best, witness, count = Fraction(0), None, 0
+    for g, h in pairs:
+        if g == h:
+            continue
+        count += 1
+        d = ctx.dist(g, h)
+        best, witness = _reference_keep_supremum(
+            _exact_div(abs(f(g) - f(h)), d), (g, h), best, witness)
+    return best, witness, count, 0
+
+
+def reference_generator_bound(f, generators):
+    """Frozen copy of the original generator bound.  Returns (value, witness, n_samples, 0)."""
+    best, witness, count = Fraction(0), None, 0
+    for s in generators:
+        count += 1
+        best, witness = _reference_keep_supremum(abs(f(s)), (s,), best, witness)
+    return best, witness, count, 0

@@ -282,6 +282,20 @@ class TestBallDistance:
             assert ball.distance(LatticeVector(v), 2) == 2
         assert ball.distance(LatticeVector((3, 0)), 8) is None
 
+    def test_repeated_query_past_the_radius_costs_at_most_one_product_per_generator(
+            self, monkeypatch):
+        ball = BfsBall(Z2_UNITS, LatticeVector((0, 0)))
+        ball.grow_to(2)  # a frontier of 8 over 4 generators
+        products = []
+        mul = LatticeVector.__mul__
+        monkeypatch.setattr(LatticeVector, "__mul__", lambda u, v: products.append(1) or mul(u, v))
+        for _ in range(3):
+            for v, expected in (((2, 1), 3), ((5, 0), None), ((0, -3), 3)):
+                products.clear()
+                assert ball.distance(LatticeVector(v), 3) == expected
+                assert len(products) <= len(Z2_UNITS)
+        assert ball.radius == 2
+
     def test_generators_deduplicated_and_sorted(self):
         ball = BfsBall(Z2_UNITS + Z2_UNITS[::-1], LatticeVector((0, 0)))
         assert ball.generators == sorted(Z2_UNITS, key=lambda e: e.encode())

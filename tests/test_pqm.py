@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import recursive_g_shape_witnesses, recursive_h_shape_witnesses
+from conftest import (
+    recursive_g_shape_witnesses,
+    recursive_h_shape_witnesses,
+    reference_defect_estimate,
+    reference_generator_bound,
+    reference_lipschitz_estimate,
+)
 
 from binorms import kernels, norms
 from binorms.cli import parse_jobspec, run_job
@@ -29,6 +35,7 @@ from binorms.pqm import (
     LimitScheme,
     McShaneExtension,
     PqmError,
+    PqmHandle,
     SubadditiveCorrection,
     Walk,
     WalkSpecError,
@@ -176,6 +183,120 @@ class TestGeneratorBound:
         gens = [conjugate(s, y) for y in all_reduced_words(2, 3)
                 for s in (A, B, A.inverse(), B.inverse())]
         assert generator_bound(h_ab, gens).value == 1  # frozen
+
+
+# distinct objects, two of them equal to earlier ones
+ESTIMATOR_POOL = [zint(n) for n in range(-3, 4)] + [zint(1), zint(-2)]
+# outside Z: it fails the membership gate of its first norm call
+FOREIGN = LatticeVector((1, 1))
+# a handle value n / d as an int (d = 1), a Fraction or a float; floats
+# such as 0.5 tie with Fractions, so mixed handles test the value's type
+ESTIMATOR_KINDS = {"int": lambda n, d: n, "fraction": Fraction, "float": lambda n, d: n / d}
+
+
+@st.composite
+def estimator_cases(draw):
+    """(handle, pairs): runs of pairs sharing one g object, on a handle whose
+    values are all of one kind or mixed, raising at one point or none."""
+    kind = draw(st.sampled_from(["int", "fraction", "float", "mixed"]))
+    size = 13  # f is read at -6..6
+    nums = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size))
+    dens = [1] * size if kind == "int" else draw(
+        st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    kinds = [kind] * size if kind != "mixed" else draw(
+        st.lists(st.sampled_from(sorted(ESTIMATOR_KINDS)), min_size=size, max_size=size))
+    table = {i - 6: ESTIMATOR_KINDS[k](n, d) for i, (k, n, d) in enumerate(zip(kinds, nums, dens))}
+    raise_at = draw(st.none() | st.integers(-6, 6))
+
+    def fn(v):
+        if v.coords[0] == raise_at:
+            raise ValueError(f"no value at {raise_at}")
+        return table[v.coords[0]]
+
+    index = st.integers(0, len(ESTIMATOR_POOL) - 1)
+    runs = draw(st.lists(st.tuples(index, st.lists(index, min_size=1, max_size=6)),
+                         min_size=1, max_size=5))
+    pairs = [(ESTIMATOR_POOL[g], ESTIMATOR_POOL[h]) for g, hs in runs for h in hs]
+    foreign = draw(st.none() | st.tuples(st.integers(0, 29), st.integers(0, 1)))
+    if foreign is not None:
+        at, side = foreign[0] % len(pairs), foreign[1]
+        pairs[at] = (FOREIGN, pairs[at][1]) if side == 0 else (pairs[at][0], FOREIGN)
+    return PqmHandle(f"table:{kind}", fn, Z), pairs
+
+
+def _estimate_outcome(call):
+    """What ``call`` returned, with the type of its value, or the exception it raised."""
+    try:
+        result = call()
+    except Exception as exc:  # the first exception is part of the contract
+        return "raised", type(exc), str(exc)
+    if not isinstance(result, tuple):
+        result = (result.value, result.witness, result.n_samples, result.zero_min_violations)
+    return ("returned", type(result[0])) + result
+
+
+class TestEstimatorsMatchReference:
+    """The integer supremum and the read-g-once loops against the original loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(estimator_cases())
+    def test_estimators_match_reference(self, case):
+        f, pairs = case
+        gens = [g for pair in pairs for g in pair]
+        for estimate, reference, sample in (
+            (defect_estimate, reference_defect_estimate, pairs),
+            (lipschitz_estimate, reference_lipschitz_estimate, pairs),
+            (generator_bound, reference_generator_bound, gens),
+        ):
+            expected = _estimate_outcome(lambda: reference(f, sample))
+            assert _estimate_outcome(lambda: estimate(f, sample)) == expected, estimate.__name__
+
+    def test_evaluation_order_reads_g_once_per_run(self):
+        log = []
+
+        class Recording:
+            def norm_exact(self, g):
+                log.append(("norm", g.coords[0]))
+                return Z.norm_exact(g)
+
+            def dist(self, g, h):
+                log.append(("dist", g.coords[0], h.coords[0]))
+                return Z.dist(g, h)
+
+        f = PqmHandle("log", lambda v: log.append(("f", v.coords[0])) or v.coords[0], Recording())
+        g, k = zint(2), zint(-1)
+        pairs = [(g, zint(1)), (g, zint(3)), (k, zint(1)), (zint(2), zint(3))]
+        defect_estimate(f, pairs)
+        assert log == [
+            ("norm", 2), ("norm", 1), ("f", 2), ("f", 3), ("f", 1),
+            ("norm", 3), ("f", 5), ("f", 3),
+            ("norm", -1), ("norm", 1), ("f", -1), ("f", 0), ("f", 1),
+            # an equal g in a new object starts a new run
+            ("norm", 2), ("norm", 3), ("f", 2), ("f", 5), ("f", 3),
+        ]
+        log.clear()
+        lipschitz_estimate(f, [(g, g)] + pairs)
+        assert log == [
+            ("dist", 2, 1), ("f", 2), ("f", 1), ("dist", 2, 3), ("f", 3),
+            ("dist", -1, 1), ("f", -1), ("f", 1), ("dist", 2, 3), ("f", 2), ("f", 3),
+        ]
+
+    def test_value_and_witness_across_float_and_exact_ratios(self):
+        table = {0: 0, 1: 2.0, 2: 2, 3: Fraction(9), 4: 4.0}
+        f = PqmHandle("mixed", lambda v: table[v.coords[0]], Z)
+        origin = zint(0)
+        # 2.0 (float), then the smaller exact 1: the float stays, with its pair
+        est = lipschitz_estimate(f, [(origin, zint(1)), (origin, zint(2))])
+        assert (type(est.value), est.value, est.witness) == (float, 2.0, ("[0]", "[1]"))
+        # then exact 3 > 2.0: the supremum is the Fraction 3
+        est = lipschitz_estimate(f, [(origin, zint(n)) for n in (1, 2, 3)])
+        assert (type(est.value), est.value, est.witness) == (Fraction, 3, ("[0]", "[3]"))
+        # a float tying an exact supremum keeps the exact value; the witness
+        # is the smaller encoding
+        est = lipschitz_estimate(f, [(origin, zint(n)) for n in (2, 4)])
+        assert (type(est.value), est.value, est.witness) == (Fraction, 1, ("[0]", "[2]"))
+        est = generator_bound(f, [zint(1), zint(2)])
+        assert (type(est.value), est.value, est.witness) == (float, 2.0, ("[1]",))
 
 
 class TestHomogenise:
