@@ -97,9 +97,10 @@ SEARCH_K_MAX = 6
 SEARCH_CONJ_LEN = 34
 CL_CONJ_LEN = 2
 
-# Entries of a context's memo of kernel rows; the memo is emptied when it
-# fills.
-NORM_MEMO_CAP = 4096
+# Letters a context's norm memo may hold: an entry is charged the length of
+# its codes plus one, whether it holds a norm or a row, and the memo is
+# emptied when the next entry would take it over.
+NORM_MEMO_LETTERS = 1 << 18
 
 # Elements a commutator ball may hold: at rank 2 and L = 2 its level 3
 # alone holds 824,809, over ``MEMORY_CAP``.
@@ -552,23 +553,36 @@ def in_commutator_subgroup(w: FreeWord) -> bool:
 # the context
 
 
-def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...]) -> tuple[int, ...]:
-    """The memo's miss path: ``kernels.prefix_norms(codes)``, stored under the
-    codes the kernel ran on.  A row is a function of its codes alone, so
-    every reader of ``ctx._norm_memo.get(codes)`` may share it."""
+def _kernel_row(ctx: "GroupContext", codes: tuple[int, ...],
+                kernel: Callable) -> int | tuple[int, ...]:
+    """The memo's miss path: ``kernel(codes)``, ``kernels.cancellation_dp``
+    for a norm or ``kernels.prefix_norms`` for a row, stored under the codes
+    the kernel ran on.  Both are functions of the codes alone, so every
+    reader of ``ctx._norm_memo`` may share them.  A row replaces a norm
+    stored under the same codes, at the same charge."""
     check_letters(len(codes))
-    row = kernels.prefix_norms(codes)
-    if len(ctx._norm_memo) >= NORM_MEMO_CAP:
-        ctx._norm_memo.clear()
-    ctx._norm_memo[codes] = row
-    return row
+    entry = kernel(codes)
+    memo = ctx._norm_memo
+    if codes not in memo:
+        charge = len(codes) + 1
+        if ctx._norm_memo_letters + charge > NORM_MEMO_LETTERS:
+            memo.clear()
+            ctx._norm_memo_letters = 0
+        ctx._norm_memo_letters += charge
+    memo[codes] = entry
+    return entry
 
 
 def _cancellation_dp_norm(ctx: "GroupContext", g: FreeWord) -> NormInterval:
-    """The cancellation norm: the last entry of the reduced word's row."""
+    """The cancellation norm of the reduced word: its memoised norm, or the
+    last entry of its memoised row."""
     codes = g.codes()
-    row = ctx._norm_memo.get(codes) or _kernel_row(ctx, codes)
-    return _exact_interval(row[-1])
+    entry = ctx._norm_memo.get(codes)
+    if entry is None:
+        entry = _kernel_row(ctx, codes, kernels.cancellation_dp)
+    elif entry.__class__ is tuple:
+        entry = entry[-1]
+    return _exact_interval(entry)
 
 
 def _cancellation_dp_ray(ctx: "GroupContext", h: FreeWord, g: FreeWord,
@@ -577,7 +591,9 @@ def _cancellation_dp_ray(ctx: "GroupContext", h: FreeWord, g: FreeWord,
     unreduced codes of h g^count."""
     head, step = h.codes(), g.codes()
     codes = head + step * count
-    row = ctx._norm_memo.get(codes) or _kernel_row(ctx, codes)
+    row = ctx._norm_memo.get(codes)
+    if row.__class__ is not tuple:
+        row = _kernel_row(ctx, codes, kernels.prefix_norms)
     return [row[len(head) + n * len(step)] for n in range(count + 1)]
 
 
@@ -620,8 +636,8 @@ class GroupContext:
 
     Owns the norm ``||.||`` and the induced metric ``d(g,h) = ||g h^-1||``.
     Evaluators are pure; each generating set's ball (``ball``) is built on
-    first use and grown by later searches, and cancellation-DP kernel rows
-    are memoised per context by the codes the kernel ran on.
+    first use and grown by later searches, and cancellation-DP norms and
+    kernel rows are memoised per context by the codes the kernel ran on.
     """
 
     family: str
@@ -633,9 +649,11 @@ class GroupContext:
     _balls: dict[int | None, BfsBall] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _norm_memo: dict[tuple[int, ...], tuple[int, ...]] = field(
+    # codes -> the kernel's norm (``int``) or its prefix row (``tuple``)
+    _norm_memo: dict[tuple[int, ...], int | tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _norm_memo_letters: int = field(default=0, init=False, repr=False, compare=False)
     _standard: bool = field(default=False, init=False, repr=False, compare=False)
     _identity: GroupElement | None = field(default=None, init=False, repr=False, compare=False)
 

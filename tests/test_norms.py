@@ -536,16 +536,37 @@ class TestMembership:
         assert not ctx._norm_memo
 
 
+def counted_kernel(monkeypatch) -> list:
+    """The codes of every kernel row from now on; ``kernels.cancellation_dp``
+    runs one through ``kernels.prefix_norms``."""
+    kernel = kernels.prefix_norms
+    calls = []
+    monkeypatch.setattr(kernels, "prefix_norms", lambda codes: calls.append(tuple(codes)) or kernel(codes))
+    return calls
+
+
+def memo_charge(ctx) -> int:
+    """The letters a context's norm memo is charged: its kept tally, checked
+    against the entries it holds."""
+    assert ctx._norm_memo_letters == sum(len(codes) + 1 for codes in ctx._norm_memo)
+    return ctx._norm_memo_letters
+
+
+def free_words(max_size: int):
+    return st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1))),
+                    max_size=max_size).map(lambda letters: FreeWord(2, letters))
+
+
 class TestNormMemo:
     def test_results_match_kernel_across_eviction(self, monkeypatch):
-        monkeypatch.setattr(norms, "NORM_MEMO_CAP", 16)
+        monkeypatch.setattr(norms, "NORM_MEMO_LETTERS", 64)
         ctx = free_cancellation_context(2)
         words = all_reduced_words(2, 3)
-        assert len(words) > 2 * norms.NORM_MEMO_CAP
+        assert sum(len(w) + 1 for w in words) > 2 * norms.NORM_MEMO_LETTERS
         for _ in range(2):
             for w in words:
                 assert ctx.norm_exact(w) == kernels.cancellation_dp(w.codes())
-                assert len(ctx._norm_memo) <= norms.NORM_MEMO_CAP
+                assert memo_charge(ctx) <= norms.NORM_MEMO_LETTERS
 
     def test_repeats_skip_the_kernel(self, monkeypatch):
         kernel = kernels.prefix_norms
@@ -560,6 +581,86 @@ class TestNormMemo:
         g = commutator(A, B) ** 3
         assert [ctx.norm_exact(g) for _ in range(3)] == [kernel(g.codes())[-1]] * 3
         assert calls == [g.codes()]
+
+    def test_a_ray_after_a_norm_gets_the_kernels_row(self, monkeypatch):
+        ctx = free_cancellation_context(2)
+        ab = A * B
+        codes = (ab ** 2).codes()
+        row = kernels.prefix_norms(codes)
+        calls = counted_kernel(monkeypatch)
+        assert ctx.norm_exact(ab ** 2) == row[-1]
+        assert ctx._norm_memo == {codes: row[-1]}
+        assert ctx.ray_norms(ctx.identity(), ab, 2) == [row[0], row[2], row[4]]
+        assert ctx._norm_memo == {codes: row}
+        assert calls == [codes, codes]
+        assert memo_charge(ctx) == len(codes) + 1
+
+    def test_a_norm_after_a_ray_runs_no_kernel(self, monkeypatch):
+        ctx = free_cancellation_context(2)
+        ab = A * B
+        codes = (ab ** 3).codes()
+        row = kernels.prefix_norms(codes)
+        calls = counted_kernel(monkeypatch)
+        ctx.ray_norms(ab, ab, 2)
+        assert ctx.norm_exact(ab ** 3) == row[-1]
+        assert calls == [codes]
+        assert ctx._norm_memo == {codes: row}
+
+    def test_a_norm_miss_runs_the_public_kernel(self, monkeypatch):
+        # a caller that wraps kernels.cancellation_dp sees every norm miss
+        kernel = kernels.cancellation_dp
+        calls = []
+        monkeypatch.setattr(kernels, "cancellation_dp", lambda codes: calls.append(codes) or kernel(codes))
+        ctx = free_cancellation_context(2)
+        g = commutator(A, B)
+        assert [ctx.norm_exact(g) for _ in range(2)] == [2, 2]
+        ctx.ray_norms(A, B, 2)
+        assert calls == [g.codes()]
+
+    def test_the_identitys_norm_is_a_memo_hit(self, monkeypatch):
+        # its norm is 0, which a falsy test would read as a miss
+        calls = counted_kernel(monkeypatch)
+        ctx = free_cancellation_context(2)
+        assert [ctx.norm_exact(ctx.identity()) for _ in range(3)] == [0, 0, 0]
+        assert calls == [()]
+        assert ctx._norm_memo == {(): 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(budget=st.integers(13, 48), traffic=st.lists(st.one_of(
+        free_words(5),
+        st.tuples(free_words(3), free_words(3), st.integers(0, 3)),
+    ), max_size=40))
+    def test_mixed_traffic_under_a_tiny_budget_matches_the_kernel(self, budget, traffic):
+        # a norm of up to 5 letters or a ray's row of up to 12: every entry's
+        # charge fits the budget
+        ctx = free_cancellation_context(2)
+        with patch.object(norms, "NORM_MEMO_LETTERS", budget):
+            for op in traffic:
+                if isinstance(op, FreeWord):
+                    assert ctx.norm_exact(op) == kernels.prefix_norms(op.codes())[-1]
+                else:
+                    h, g, count = op
+                    row = kernels.prefix_norms(h.codes() + g.codes() * count)
+                    assert ctx.ray_norms(h, g, count) == [
+                        row[len(h) + n * len(g)] for n in range(count + 1)]
+                assert memo_charge(ctx) <= budget
+                for codes, entry in ctx._norm_memo.items():
+                    row = kernels.prefix_norms(codes)
+                    assert entry == (row if isinstance(entry, tuple) else row[-1])
+
+    def test_word_sweep_traffic_runs_the_kernel_once_a_word(self, monkeypatch):
+        # word-sweep's norms are of every reduced word of up to 4 letters
+        # and their products; 8 letters is 13,121 words, twice over
+        calls = counted_kernel(monkeypatch)
+        ctx = free_cancellation_context(2)
+        words = all_reduced_words(2, 8)
+        assert len(words) == 13_121
+        expected = [kernels.cancellation_dp(w.codes()) for w in words]
+        calls.clear()
+        for _ in range(2):
+            assert [ctx.norm_exact(w) for w in words] == expected
+        assert calls == [w.codes() for w in words]
+        assert memo_charge(ctx) == sum(len(w) + 1 for w in words) <= norms.NORM_MEMO_LETTERS
 
     def test_rank_mismatch_still_raises(self):
         ctx = free_cancellation_context(2)
