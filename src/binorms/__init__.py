@@ -23,7 +23,6 @@ from .norms import (
     NormInterval,
     bfs_word_norm,
     cancellation_norm,
-    check_conjugation_invariance,
     conjugate_product_search,
     free_cancellation_context,
     heisenberg_context,
@@ -42,9 +41,7 @@ from .pqm import (
     defect_estimate,
     detect_undistorted,
     fekete_limit,
-    generator_bound,
     homogenise,
-    homogeneity_check,
     lipschitz_estimate,
     mcshane_extend,
     SubadditiveCorrection,
@@ -52,12 +49,9 @@ from .pqm import (
 )
 from .cone import (
     ConePoint,
-    abelian_cl_cone_check,
     cone_dist,
     cone_norm,
     eta,
-    length_vs_word_check,
-    lift_function,
     pullback_defect,
 )
 

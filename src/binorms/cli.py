@@ -239,16 +239,6 @@ def _validate_job(params: dict[str, str], index: int) -> tuple[JobSpec | None, l
     return JobSpec(name, dict(params)), []
 
 
-def parse_jobspec(text: str) -> JobSpec:
-    """Parse a single-job spec; raises JobSpecError carrying all errors."""
-    jobs, errors = parse_jobfile(text)
-    if errors:
-        raise JobSpecError(errors)
-    if len(jobs) != 1:
-        raise JobSpecError([f"expected exactly one job block, found {len(jobs)}"])
-    return jobs[0]
-
-
 def _split_encodings(text: str) -> list[str]:
     """Split a comma-separated encoding list, respecting () and []."""
     parts = []
@@ -461,7 +451,10 @@ def _run_extend(spec: JobSpec, ctx: GroupContext, seed: int):
     params = spec.params
     window = _window(spec)
     g = ctx.decode(params["element"])
-    c = Fraction(params["c"]) if "c" in params else None
+    try:
+        c = Fraction(params["c"]) if "c" in params else None
+    except ZeroDivisionError:
+        raise ValueError(f"c = {params['c']!r} has a zero denominator") from None
     ext = pqm_mod.mcshane_extend(ctx, g, c, window)
     rows = []
     for enc in params["at"].split(";"):

@@ -288,10 +288,6 @@ class Permutation(GroupElement):
         """The images of 1..m, m the largest moved point (0 for the identity)."""
         return self._images
 
-    def apply(self, point: int) -> int:
-        images = self._images
-        return images[point - 1] if 1 <= point <= len(images) else point
-
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The moved points with their images, in increasing order."""

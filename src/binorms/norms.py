@@ -276,40 +276,29 @@ def heisenberg_conjugacy_norm(g: Heisenberg) -> tuple[NormInterval, tuple[Heisen
     nontrivial central element), verified by exact multiplication.  Lower
     bound: abelianisation forces k >= |x|+|y|, and a nontrivial central
     element needs k >= 2 since every generator has nonzero abelianisation.
-    The bounds meet, so the result is always exact.
+    The bounds meet, so the result is always exact; the ``bounded-search``
+    backend reads the lower bound alone, and this witness is its oracle.
     """
-    runs = _heisenberg_witness_runs(g)
-    factors = tuple(f for f, count in runs for _ in range(count))
-    return NormInterval.exact_value(len(factors)), factors
-
-
-def _heisenberg_witness_runs(g: Heisenberg) -> tuple[tuple[Heisenberg, int], ...]:
-    """The witness of ``heisenberg_conjugacy_norm`` as runs (f, count) of
-    equal factors, checked exactly without expanding them: each f is a
-    conjugated generator, so it has x = 0 or y = 0, and then
-    (s,0,c)^k = (ks,0,kc) and (0,s,c)^k = (0,ks,kc)."""
     x, y, z = g.x, g.y, g.z
     sa = 1 if x > 0 else -1
     sb = 1 if y > 0 else -1
     if x == 0 and y == 0:
-        if z == 0:
-            return ()
         # conjugate of b with parameter p = -z, times b^-1
-        runs = ((Heisenberg(0, 1, z), 1), (Heisenberg(0, -1, 0), 1))
+        factors = () if z == 0 else (Heisenberg(0, 1, z), Heisenberg(0, -1, 0))
     elif x != 0:
         # fold the whole z-adjustment into the first a-factor
-        runs = ((Heisenberg(sa, 0, z - x * y), 1), (Heisenberg(sa, 0, 0), abs(x) - 1),
-                (Heisenberg(0, sb, 0), abs(y)))
+        factors = ((Heisenberg(sa, 0, z - x * y),) + (Heisenberg(sa, 0, 0),) * (abs(x) - 1)
+                   + (Heisenberg(0, sb, 0),) * abs(y))
     else:
-        runs = ((Heisenberg(0, sb, z), 1), (Heisenberg(0, sb, 0), abs(y) - 1))
+        factors = (Heisenberg(0, sb, z),) + (Heisenberg(0, sb, 0),) * (abs(y) - 1)
     product = g.identity()
-    for f, count in runs:
+    for f in factors:
         if (abs(f.x), abs(f.y)) not in ((1, 0), (0, 1)):
             raise NormError(f"internal witness {f!r} is not a conjugated generator")
-        product = product * Heisenberg(count * f.x, count * f.y, count * f.z)
+        product = product * f
     if product != g:
         raise NormError(f"witness product {product!r} does not equal target {g!r}")
-    return runs
+    return NormInterval.exact_value(len(factors)), factors
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +587,10 @@ def _cancellation_dp_ray(ctx: "GroupContext", h: FreeWord, g: FreeWord,
 
 
 def _bounded_search_norm(ctx: "GroupContext", g: GroupElement) -> NormInterval:
-    """The Heisenberg closed form on the standard closure, else the search."""
+    """The Heisenberg norm on the standard closure, which its abelianisation
+    bound meets (see :func:`heisenberg_conjugacy_norm`), else the search."""
     if ctx.family == "heisenberg" and ctx._standard:
-        return NormInterval.exact_value(sum(count for _, count in _heisenberg_witness_runs(g)))
+        return NormInterval.exact_value(_abelianisation_lower_bound(ctx, g))
     return conjugate_product_search(ctx, g, SEARCH_K_MAX, SEARCH_CONJ_LEN)
 
 
@@ -773,41 +763,6 @@ class GroupContext:
             norms.append(self.norm_exact(h))
         return norms
 
-    def generator_sample(self, seed: int, count: int) -> list[GroupElement]:
-        """Sampleable generators: the explicit list, class representatives
-        with seeded conjugators for normal closures, or seeded commutators
-        of short words for all commutators."""
-        import random
-
-        gens = self.generators
-        if gens.kind == "explicit":
-            return list(gens.elements)
-        if gens.kind == "normal-closure":
-            rng = random.Random(seed)
-            from .sampling import element_sampler
-
-            draw = element_sampler(
-                self.family, rank=self.rank, degree=self.degree, dim=self.dim,
-                max_len=4, box=6,
-            )
-            out = []
-            base = []
-            for s in gens.elements:
-                base.extend((s, s.inverse()))
-            for _ in range(count):
-                out.append(conjugate(base[rng.randrange(len(base))], draw(rng)))
-            return out
-        rng = random.Random(seed)
-        words = all_reduced_words(self.rank, 2)
-        out = []
-        while len(out) < count:
-            u = words[rng.randrange(len(words))]
-            v = words[rng.randrange(len(words))]
-            c = commutator(u, v)
-            if not c.is_identity():
-                out.append(c)
-        return out
-
 
 # -- ready-made contexts -----------------------------------------------------
 
@@ -835,50 +790,3 @@ def heisenberg_context() -> GroupContext:
 
 def commutator_length_context(rank: int = 2) -> GroupContext:
     return GroupContext("free", GeneratingSet.all_commutators(), "cl-bounds", rank=rank)
-
-
-# ---------------------------------------------------------------------------
-# sampled invariance checks
-
-
-@dataclass
-class InvarianceReport:
-    n_samples: int
-    max_discrepancy: float
-    worst_pair: tuple[str, str] | None
-    non_exact: int
-
-    @property
-    def invariant(self) -> bool:
-        return self.max_discrepancy == 0 and self.non_exact == 0
-
-
-def check_conjugation_invariance(
-    ctx: GroupContext,
-    pairs: Iterable[tuple[GroupElement, GroupElement]],
-) -> InvarianceReport:
-    """Compare ||h^-1 g h|| with ||g|| over sampled pairs.
-
-    Must report zero discrepancy for normal-closure / conjugacy-class
-    contexts; non-normal explicit sets are expected to fail, which is the
-    point of the corresponding test.  When a norm is only known as an
-    interval, a disjoint interval counts as a certified discrepancy.
-    """
-    worst = 0.0
-    worst_pair = None
-    non_exact = 0
-    count = 0
-    for g, h in pairs:
-        count += 1
-        ng = ctx.norm(g)
-        nc = ctx.norm(conjugate(g, h))
-        if ng.exact and nc.exact:
-            gap = abs(nc.lower - ng.lower)
-        else:
-            non_exact += 1
-            # certified separation of the two intervals, if any
-            gap = max(nc.lower - ng.upper, ng.lower - nc.upper, 0)
-        if gap > worst:
-            worst = gap
-            worst_pair = (g.encode(), h.encode())
-    return InvarianceReport(count, worst, worst_pair, non_exact)

@@ -3,10 +3,10 @@
 A :class:`PqmHandle` is a real-valued function on a group context: its
 name, the function and the context, nothing more.  Its constants are
 estimated from seeded samples -- the defect ``D`` (worst ratio of
-``|f(g) - f(gh) + f(h)|`` against ``min(||g||, ||h||)``), the Lipschitz
-constant ``C`` and the generator bound ``sigma`` -- and the checks that
-need them take them as arguments, so a proved constant serves as well as a
-sampled one.  On top of the handles the module provides:
+``|f(g) - f(gh) + f(h)|`` against ``min(||g||, ||h||)``) and the Lipschitz
+constant ``C`` -- and a check that needs one takes it as an argument, so a
+proved constant serves as well as a sampled one.  On top of the handles
+the module provides:
 
 * deterministic homogenisation under window schemes that stand in for a
   linear ultrafilter (plain / arithmetic / Cesaro windows, with the
@@ -49,8 +49,6 @@ DEFAULT_TOLERANCE = 1e-6
 DETECT_REL_THRESHOLD = 0.25
 DETECT_ABS_THRESHOLD = 1e-9
 FEKETE_HYPOTHESIS_CHECKS = 400  # random pairs beyond the triangular sample
-INTEGRABILITY_DOUBLINGS = 20  # doubling intervals [2^i, 2^(i+1)] ...
-INTEGRABILITY_STEPS = 64  # ... of trapezoid steps each
 
 
 class PqmError(Exception):
@@ -247,21 +245,8 @@ def homogenised_handle(f: PqmHandle, scheme: LimitScheme) -> PqmHandle:
     return PqmHandle(f"hom({f.name};{scheme.describe()})", fn, f.ctx)
 
 
-def homogeneity_check(f_hom: PqmHandle, g: GroupElement, k_list: Sequence[int]):
-    """max_k |f_hom(g^k) - k * f_hom(g)|, with the table of f_hom(g^k)."""
-    base = f_hom(g)
-    residual = 0.0
-    table = []
-    for k in k_list:
-        value = f_hom(g ** k)
-        r = abs(float(value - k * base))
-        table.append((k, value))
-        residual = max(residual, r)
-    return residual, table
-
-
 # ---------------------------------------------------------------------------
-# defect / Lipschitz / generator-bound estimation
+# defect / Lipschitz estimation
 
 
 @dataclass
@@ -403,54 +388,8 @@ def lipschitz_estimate(f: PqmHandle, pairs: Iterable[tuple[GroupElement, GroupEl
     return SupremumEstimate("lipschitz", sup.value(), sup.witness, count, seed)
 
 
-def generator_bound(f: PqmHandle, generator_sample: Iterable[GroupElement],
-                    seed: int | None = None) -> SupremumEstimate:
-    """sigma-hat = max |f(s)| over the sampled generating set."""
-    sup = _Supremum()
-    count = 0
-    for s in generator_sample:
-        count += 1
-        sup.offer(abs(f(s)), (s,))
-    return SupremumEstimate("generator-bound", sup.value(), sup.witness, count, seed)
-
-
-@dataclass
-class ForwardCheckReport:
-    n_samples: int
-    violations: int
-    worst_margin: float
-
-
-def forward_inequalities_check(f: PqmHandle, pairs, sigma, defect) -> ForwardCheckReport:
-    """Quantitative forward direction: with generator bound ``sigma`` and
-    defect ``defect`` (sampled by :func:`generator_bound` and
-    :func:`defect_estimate`, or proved), every sampled pair must satisfy
-    |f(h)| <= (sigma + D) ||h|| and |f(g) - f(gh)| <= (sigma + 2D) ||h||."""
-    ctx = f.ctx
-    violations = 0
-    worst = 0.0
-    count = 0
-    for g, h in pairs:
-        count += 1
-        nh = ctx.norm_exact(h)
-        lhs1 = abs(f(h))
-        lhs2 = abs(f(g) - f(g * h))
-        bound1 = (sigma + defect) * nh
-        bound2 = (sigma + 2 * defect) * nh
-        if lhs1 > bound1 or lhs2 > bound2:
-            violations += 1
-            worst = max(worst, float(lhs1 - bound1), float(lhs2 - bound2))
-    return ForwardCheckReport(count, violations, worst)
-
-
 # ---------------------------------------------------------------------------
 # Fekete / de Bruijn–Erdos limits
-
-
-@dataclass
-class IntegrabilityWitness:
-    samples: tuple[tuple[float, float], ...]  # (T, integral up to T)
-    apparently_convergent: bool
 
 
 @dataclass
@@ -471,31 +410,6 @@ class SubadditiveCorrection:
     @classmethod
     def sqrt(cls, c: float) -> "SubadditiveCorrection":
         return cls(lambda t: c * t ** 0.5, f"sqrt:{c}")
-
-    def integrability_witness(self) -> IntegrabilityWitness:
-        """Trapezoid estimates of the integral of phi(t)/t^2 on [1, 2^K] at
-        doubling endpoints; apparent convergence needs decreasing increments
-        with a last increment under 1% of the total."""
-        samples = []
-        total = 0.0
-        increments = []
-        lo = 1.0
-        for _ in range(INTEGRABILITY_DOUBLINGS):
-            hi = lo * 2
-            h = (hi - lo) / INTEGRABILITY_STEPS
-            acc = 0.0
-            for i in range(INTEGRABILITY_STEPS):
-                t0 = lo + i * h
-                t1 = t0 + h
-                acc += 0.5 * h * (self.phi(t0) / t0 ** 2 + self.phi(t1) / t1 ** 2)
-            total += acc
-            increments.append(acc)
-            samples.append((hi, total))
-            lo = hi
-        decreasing = all(b <= a + 1e-12 for a, b in zip(increments, increments[1:]))
-        small_tail = increments[-1] <= 0.01 * max(total, 1e-12)
-        return IntegrabilityWitness(tuple(samples), decreasing and small_tail)
-
 
 def _triangular_sample(n_max: int, count: int, seed: int) -> list[tuple[int, int]]:
     pairs = []

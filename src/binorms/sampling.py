@@ -67,11 +67,6 @@ def element_sampler(
     raise ValueError(f"unknown family {family!r}")
 
 
-def sample_elements(draw: Callable, seed: int, count: int) -> list[GroupElement]:
-    rng = random.Random(seed)
-    return [draw(rng) for _ in range(count)]
-
-
 def sample_pairs(draw: Callable, seed: int, count: int) -> list[tuple[GroupElement, GroupElement]]:
     rng = random.Random(seed)
     return [(draw(rng), draw(rng)) for _ in range(count)]
@@ -87,15 +82,3 @@ def all_reduced_words(rank: int, max_len: int) -> list[FreeWord]:
         frontier = [w + (c,) for w in frontier for c in codes if not w or w[-1] != -c]
         words.extend(FreeWord._from_codes(rank, w) for w in frontier)
     return words
-
-
-def all_permutations(degree: int) -> list[Permutation]:
-    """All of S_degree, in lexicographic image order."""
-    import itertools
-
-    points = tuple(range(1, degree + 1))
-    out = []
-    for images in itertools.permutations(points):
-        out.append(Permutation({p: q for p, q in zip(points, images)}))
-    return out
-

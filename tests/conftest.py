@@ -5,7 +5,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from binorms.groups import FreeWord
+from binorms.cli import JobSpecError, parse_jobfile
+from binorms.groups import FreeWord, Permutation
+
+
+def parse_job(text: str):
+    """The one job of a job file; a JobSpecError carries every spec error."""
+    jobs, errors = parse_jobfile(text)
+    if errors:
+        raise JobSpecError(errors)
+    (job,) = jobs
+    return job
+
+
+def all_permutations(degree: int) -> list[Permutation]:
+    """All of S_degree, in lexicographic image order."""
+    points = range(1, degree + 1)
+    return [Permutation(dict(zip(points, images))) for images in itertools.permutations(points)]
 
 
 def reduces_to_identity(codes) -> bool:

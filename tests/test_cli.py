@@ -2,10 +2,13 @@ import argparse
 import csv
 import io
 import json
+import random
 
 import pytest
+from conftest import parse_job
 
 from binorms.cli import (
+    ERROR_CODES,
     KEYS,
     TASKS,
     JobSpecError,
@@ -13,12 +16,12 @@ from binorms.cli import (
     build_parser,
     main,
     parse_jobfile,
-    parse_jobspec,
     run_job,
     run_jobfile,
 )
 from binorms import norms
 from binorms.norms import (
+    BACKENDS,
     commutator_length_context,
     free_cancellation_context,
     heisenberg_context,
@@ -39,20 +42,20 @@ job {
 
 class TestParsing:
     def test_minimal_valid_spec(self):
-        job = parse_jobspec(MINIMAL)
+        job = parse_job(MINIMAL)
         assert job.task == "norm"
         assert job.params["element"] == "[5]"
 
     def test_unknown_key_named_in_error(self):
         text = MINIMAL.replace("element = [5]", "element = [5]\n  windwo = 3")
         with pytest.raises(JobSpecError) as exc:
-            parse_jobspec(text)
+            parse_job(text)
         assert any("windwo" in e for e in exc.value.errors)
 
     def test_missing_element_for_norm(self):
         text = MINIMAL.replace("  element = [5]\n", "")
         with pytest.raises(JobSpecError) as exc:
-            parse_jobspec(text)
+            parse_job(text)
         assert any("element" in e for e in exc.value.errors)
 
     def test_all_errors_collected(self):
@@ -82,7 +85,7 @@ job {
 }
 """
         with pytest.raises(JobSpecError) as exc:
-            parse_jobspec(text)
+            parse_job(text)
         assert any("family" in e for e in exc.value.errors)
 
 
@@ -136,13 +139,13 @@ class TestTaskRegistry:
 
     @pytest.mark.parametrize("name", sorted(TASKS))
     def test_keys_the_task_does_not_read_are_rejected(self, name):
-        assert parse_jobspec(self._job_text(name, {})).task == name
+        assert parse_job(self._job_text(name, {})).task == name
         ignored = [("tolerance", "1e-6")]
         ignored += [(k, v) for k, v in (("window", "16"), ("scheme", "plain"))
                     if k not in TASKS[name].keys]
         for key, value in ignored:
             with pytest.raises(JobSpecError) as exc:
-                parse_jobspec(self._job_text(name, {key: value}))
+                parse_job(self._job_text(name, {key: value}))
             assert any(f".{key}: unknown key" in e for e in exc.value.errors)
 
     @pytest.mark.parametrize("name, extra", [
@@ -153,10 +156,10 @@ class TestTaskRegistry:
         ("walk", {"walk": "alternating"}),
     ])
     def test_scheme_is_checked_over_the_job_window(self, name, extra):
-        assert parse_jobspec(self._job_text(name, {**extra, "window": "8"})).task == name
+        assert parse_job(self._job_text(name, {**extra, "window": "8"})).task == name
         for more in ({"window": "4"}, {"window": "7", "scheme": "cesaro"}):
             with pytest.raises(JobSpecError) as exc:
-                parse_jobspec(self._job_text(name, {**extra, **more}))
+                parse_job(self._job_text(name, {**extra, **more}))
             assert exc.value.errors == [
                 "job[0].scheme: scheme window must be >= 8 (line 1)"
             ]
@@ -168,7 +171,7 @@ class TestTaskRegistry:
     ])
     def test_context_takes_only_its_family_size_key(self, family, key):
         with pytest.raises(JobSpecError) as exc:
-            parse_jobspec(self._job_text("norm", {"family": family, key: "3", "element": "x"}))
+            parse_job(self._job_text("norm", {"family": family, key: "3", "element": "x"}))
         assert exc.value.errors == [f"job[0].{key}: unknown key for family {family!r} (line 1)"]
 
     def test_run_overrides_are_validated_like_file_values(self):
@@ -186,7 +189,7 @@ class TestTaskRegistry:
         assert (code, row["window"], row["seed"]) == (0, "8", "5")
 
     def test_detect_keeps_small_windows_for_run_time(self):
-        job = parse_jobspec(self._job_text("detect", {"element": "[1,0]", "window": "4"}))
+        job = parse_job(self._job_text("detect", {"element": "[1,0]", "window": "4"}))
         assert run_job(job).rows[0].value == "E_VALUE"
 
     @pytest.mark.parametrize("name, extra, window, scheme", [
@@ -198,13 +201,13 @@ class TestTaskRegistry:
         ("walk", {"walk": "alternating"}, "4096", "plain:4096"),
     ])
     def test_default_window_and_scheme(self, name, extra, window, scheme):
-        row = run_job(parse_jobspec(self._job_text(name, extra))).rows[0]
+        row = run_job(parse_job(self._job_text(name, extra))).rows[0]
         assert (row.quantity != "error", row.window, row.scheme) == (True, window, scheme)
 
 
 class TestRunJob:
     def test_lattice_norm(self):
-        job = parse_jobspec("""
+        job = parse_job("""
 job {
   task = norm
   family = lattice
@@ -216,7 +219,7 @@ job {
         assert rows[0].value == "5" and rows[0].exact == "1"
 
     def test_detect_free_generator(self):
-        job = parse_jobspec("""
+        job = parse_job("""
 job {
   task = detect
   family = free
@@ -230,7 +233,7 @@ job {
         assert rows[0].value == "1"
 
     def test_translation_length_regression(self):
-        job = parse_jobspec("""
+        job = parse_job("""
 job {
   task = translation-length
   family = free
@@ -250,7 +253,7 @@ job {
         # the norm has defect at most 2 and is 1-Lipschitz; n -> 3n on Z is
         # a homomorphism with Lipschitz constant 3; the samples attain both
         for task, value in (("defect", defect), ("lipschitz", lipschitz)):
-            job = parse_jobspec(f"job {{\n  task = {task}\n  {context}\n"
+            job = parse_job(f"job {{\n  task = {task}\n  {context}\n"
                                 f"  function = {function}\n  samples = 40\n}}\n")
             rows = run_job(job).rows
             assert len(rows) == 1
@@ -258,7 +261,7 @@ job {
             assert rows[0].inputs == f"function={function};samples=40"
 
     def test_error_rows_have_stable_codes(self):
-        job = parse_jobspec("""
+        job = parse_job("""
 job {
   task = extend
   family = perm
@@ -276,7 +279,7 @@ job {
     @pytest.mark.parametrize("c", ["", "  c = 1/2\n"])
     def test_extend_of_a_finite_order_element(self, c):
         # with c omitted the identity power must not make the default c zero
-        job = parse_jobspec(f"job {{\n  task = extend\n  family = perm\n  element = (1 2)\n"
+        job = parse_job(f"job {{\n  task = extend\n  family = perm\n  element = (1 2)\n"
                             f"{c}  at = (1 2)\n}}\n")
         assert run_job(job).rows[0].value == "E_FINITE_ORDER"
 
@@ -289,7 +292,7 @@ job {
         ("scheme = arith:5\n  window = 8", "scheme reaches power 40 beyond the certified window 8"),
     ])
     def test_detect_checks_its_scheme_on_either_branch(self, context, element, scheme, message):
-        job = parse_jobspec(f"job {{\n  task = detect\n  {context}\n  element = {element}\n"
+        job = parse_job(f"job {{\n  task = detect\n  {context}\n  element = {element}\n"
                             f"  {scheme}\n}}\n")
         row = run_job(job).rows[0]
         assert (row.value, row.witness) == ("E_VALUE", message)
@@ -620,6 +623,8 @@ def test_build_context_defaults():
      ("error", "E_VALUE", "unknown sequence id 'bogus'")),
     ("task = fekete\nsequence = linear:1\nphi = bogus\nn = 16", 1,
      ("error", "E_VALUE", "unknown phi id 'bogus'")),
+    ("task = extend\nfamily = free\nelement = a b\nc = 2/0\nat = a", 1,
+     ("error", "E_VALUE", "c = '2/0' has a zero denominator")),
     ("task = norm\nfamily = perm\ngenerators = explicit:standard\nelement = (1 2)", 1,
      ("error", "E_NORM", "explicit:standard is only defined for lattice contexts")),
     ("task = norm\nfamily = lattice\ngenerators = explicit:\nelement = [1,0]", 1,
@@ -637,3 +642,82 @@ def test_branches_of_the_batch_runner(body, code, expected, tmp_path, capsys):
         return
     rows = list(csv.DictReader(io.StringIO(captured.out)))
     assert [(r["quantity"], r["value"], r["witness"]) for r in rows] == [expected]
+
+
+# Values for fuzzed job specs, valid and invalid, kept small: a family's
+# elements come mostly from its own list, windows are at most 16 (every job
+# that takes a window gets one) and n at most 20.
+FUZZ_ELEMENTS = {
+    "free": ["a", "a b", "a b a^-1 b^-1", "a^-1 b a", "c"],
+    "perm": ["(1 2)", "(1 2 3)", "(1 2)(3 4)", "()", "(1 1)"],
+    "lattice": ["[1,0]", "[3,-2]", "[1]", "[0,0]"],
+    "heisenberg": ["H(1,0,0)", "H(0,0,1)", "H(1,-1,2)", "H(1,0)"],
+}
+FUZZ_VALUES = {
+    "n": ["1", "2", "3", "8", "20", "0", "-1"],
+    "c": ["1", "1/2", "-1", "0", "2/0", "nan"],
+    "function": ["norm", "brooks:a b", "coord:0", "coord:3", "scale:3", "walk:alternating", "sin"],
+    "functional": ["cone-norm", "coord:0", "coord:3"],
+    "walk": ["alternating", "all-up", "doubling-blocks", "sideways"],
+    "sequence": ["linear:2", "halfceil", "sqrt-drift:1", "linear:x"],
+    "phi": ["zero", "const:1", "sqrt:2", "sin"],
+    "samples": ["1", "3", "8", "0"],
+    "maxlen": ["1", "2", "3", "0"],
+    "base": ["g", "h"],
+    "family": list(FUZZ_ELEMENTS),
+    "rank": ["1", "2", "3", "0"],
+    "dim": ["1", "2", "3", "0"],
+    "degree": ["2", "4", "6", "0"],
+    "generators": ["normal:a", "explicit:a", "normal:(1 2)", "normal:(1 2 3)", "explicit:standard",
+                   "normal:[1,0]", "normal:H(1,0,0),H(0,1,0)", "all-commutators", "normal:"],
+    "backend": [*BACKENDS, "abacus"],
+    "seed": ["0", "7"],
+    "window": ["8", "12", "16", "4", "0"],
+    "scheme": ["plain", "arith:2", "cesaro", "arith:0"],
+}
+
+
+def _fuzzed_job(rng: random.Random) -> str:
+    """A job block: a task, its window, each other key it reads with some
+    chance (its required keys and family nearly always), and now and then a
+    stray key."""
+    name = rng.choice(sorted(TASKS))
+    task = TASKS[name]
+    family = rng.choice(FUZZ_VALUES["family"])
+    params = {"task": name}
+    for key in task.keys:
+        if key != "window" and rng.random() >= (0.95 if key in task.required + ("family",) else 0.3):
+            continue
+        if key in ("element", "element2", "at"):
+            own = rng.random() < 0.9
+            pool = FUZZ_ELEMENTS[family if own else rng.choice(FUZZ_VALUES["family"])]
+            if key == "at":
+                params[key] = ";".join(rng.sample(pool, rng.randint(1, 2)))
+            else:
+                params[key] = rng.choice(pool)
+        else:
+            params[key] = family if key == "family" else rng.choice(FUZZ_VALUES[key])
+    if rng.random() < 0.05:
+        key = rng.choice(sorted(FUZZ_VALUES))
+        params.setdefault(key, rng.choice(FUZZ_VALUES[key]))
+    return "job {\n" + "".join(f"  {k} = {v}\n" for k, v in params.items()) + "}\n"
+
+
+def test_fuzzed_jobs_give_rows_or_a_typed_error(monkeypatch):
+    # small search budgets, so a search that would run for seconds ends in
+    # its budget's typed outcome at once
+    monkeypatch.setattr(norms, "MEMORY_CAP", 20_000)
+    monkeypatch.setattr(norms, "COMMUTATOR_BALL_CAP", 20_000)
+    assert set(FUZZ_VALUES) | {"element", "element2", "at"} == set(KEYS)
+    codes = {code for _, code in ERROR_CODES}
+    rng = random.Random(3)
+    ran = 0
+    for _ in range(2500):
+        text = _fuzzed_job(rng)
+        jobs, errors = parse_jobfile(text)
+        if errors:
+            continue
+        rows = run_job(jobs[0]).rows
+        assert rows and all(r.quantity != "error" or r.value in codes for r in rows), (text, rows)
+        ran += 1
+    assert ran >= 500
