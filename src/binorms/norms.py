@@ -10,7 +10,7 @@ right-invariant metric ``d(g, h) = ||g h^-1||``.  Backends (``BACKENDS``):
                        effective model of the maximal bi-invariant word norm)
 * ``l1``               L^1 norm on lattice vectors
 * ``bounded-search``   certified construction/obstruction bounds (Heisenberg)
-* ``cl-bounds``        commutator-length interval bounds on free words
+* ``cl-bounds``        commutator length on [F, F], exact from Culler's pairings
 
 Evaluators that cannot certify an exact value return a
 :class:`NormInterval` with ``exact=False``; nothing is ever silently
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -35,11 +36,9 @@ from .groups import (
     HEISENBERG_B,
     LatticeVector,
     Permutation,
-    commutator,
     conjugate,
     cycle_decomposition,
 )
-from .sampling import all_reduced_words
 
 
 class NormError(Exception):
@@ -90,21 +89,18 @@ def _exact_interval(value: int) -> NormInterval:
 
 # Search budgets, read when a search runs: the elements of a ball and the
 # conjugators of a closure, the depth of a bfs norm, the factors and
-# conjugator length of a bounded-search norm, and cl-bounds' |u|, |v| in [u, v].
+# conjugator length of a bounded-search norm, and a cl-bounds norm's work,
+# charged as the pairings it tries times the letters of its cyclic word.
 MEMORY_CAP = 500_000
 BFS_MAX_RADIUS = 12
 SEARCH_K_MAX = 6
 SEARCH_CONJ_LEN = 34
-CL_CONJ_LEN = 2
+CL_PAIRING_STEPS = 1 << 21
 
 # Letters a context's norm memo may hold: an entry is charged the length of
 # its codes plus one, whether it holds a norm or a row, and the memo is
 # emptied when the next entry would take it over.
 NORM_MEMO_LETTERS = 1 << 18
-
-# Elements a commutator ball may hold: at rank 2 and L = 2 its level 3
-# alone holds 824,809, over ``MEMORY_CAP``.
-COMMUTATOR_BALL_CAP = 2_000_000
 
 # Longest word the kernel runs on: its table is L^2 cells.  Cone points
 # refuse longer elements with the same cap.
@@ -182,13 +178,19 @@ class Family(NamedTuple):
     standard_class: Callable[[GroupElement], int | None] | None = None
 
 
+def _cyclic_core(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic reduction of a reduced word's codes: its ends stripped
+    while the first letter is the inverse of the last."""
+    i, j = 0, len(codes)
+    while j - i > 1 and codes[i] == -codes[j - 1]:
+        i, j = i + 1, j - 1
+    return codes[i:j]
+
+
 def _free_letter_class(w: FreeWord) -> int | None:
     """i when w cyclically reduces to the one letter a_i or a_i^-1."""
-    codes = w.codes()
-    i, j = 0, len(codes) - 1
-    while i < j and codes[i] == -codes[j]:
-        i, j = i + 1, j - 1
-    return abs(codes[i]) if i == j else None
+    core = _cyclic_core(w.codes())
+    return abs(core[0]) if len(core) == 1 else None
 
 
 FAMILIES: dict[str, Family] = {
@@ -402,12 +404,12 @@ def _class_size(cycle_type: tuple[int, ...], degree: int) -> int:
 def enumerate_effective_generators(ctx: "GroupContext",
                                    conj_len: int | None = None) -> set[GroupElement]:
     """The finite generating set a ball search walks: an explicit list, a
-    ``perm`` or ``lattice`` closure, the conjugates x^-1 s^±1 x of a
+    ``perm`` or ``lattice`` closure, or the conjugates x^-1 s^±1 x of a
     ``free`` or ``heisenberg`` closure by words x of at most ``conj_len``
-    letters, or the commutators [u, v] with |u|, |v| <= ``conj_len``.
-    The last two raise NormError without a ``conj_len``; the conjugators of
-    a closure, and the conjugates of a ``perm`` closure, are counted against
-    ``MEMORY_CAP`` before any is built."""
+    letters.  The last raises NormError without a ``conj_len``, and
+    ``all-commutators`` always does; the conjugators of a closure, and the
+    conjugates of a ``perm`` closure, are counted against ``MEMORY_CAP``
+    before any is built."""
     gens = ctx.generators
     if gens.kind == "explicit":
         return set(gens.elements)
@@ -442,10 +444,7 @@ def enumerate_effective_generators(ctx: "GroupContext",
         letters = [t for s in standard_generators(ctx.family, ctx.rank).elements
                    for t in (s, s.inverse())]
         return _conjugacy_orbit(gens.elements, letters, conj_len)
-    if conj_len is None:
-        raise NormError(f"generating set {gens.kind!r} is not enumerable")
-    words = all_reduced_words(ctx.rank, conj_len)
-    return {c for u in words for v in words if not (c := commutator(u, v)).is_identity()}
+    raise NormError(f"generating set {gens.kind!r} is not enumerable")
 
 
 def bfs_word_norm(ctx: "GroupContext", g: GroupElement, max_radius: int) -> NormInterval:
@@ -512,20 +511,15 @@ def conjugate_product_search(
     """Bounded search for g as a product of the context's generators.
 
     Upper bound: least k <= k_max with g in T^k, read off the context's
-    ball over T: the conjugates x^-1 s^±1 x with ||x|| <= conj_len_max of a
-    normal closure, or the commutators [u, v] with |u|, |v| <= conj_len_max
-    of ``all-commutators``.  Lower bound from abelianisation/parity
-    obstructions, which is 1 for a nontrivial commutator; on free contexts
-    with the standard normal closure, the cancellation DP supplies the
-    definition-level lower bound.  A search that finds no product within
-    k_max, or whose ball outgrows its cap, is reported as a non-exact
-    interval, not a failure.
+    ball over T, the conjugates x^-1 s^±1 x with ||x|| <= conj_len_max of
+    its normal closure.  Lower bound from abelianisation/parity
+    obstructions; on free contexts with the standard normal closure, the
+    cancellation DP supplies the definition-level lower bound.  A search
+    that finds no product within k_max, or whose ball outgrows its cap, is
+    reported as a non-exact interval, not a failure.
     """
-    kind = ctx.generators.kind
-    if kind == "explicit":
+    if ctx.generators.kind != "normal-closure":
         raise NormError("conjugate_product_search requires a normal-closure context")
-    if kind == "all-commutators" and not in_commutator_subgroup(g):
-        raise NormError(f"{g.encode()!r} is not in the commutator subgroup")
     lower = _abelianisation_lower_bound(ctx, g)
     if ctx.family == "free" and ctx._standard:
         lower = max(lower, cancellation_norm(g))
@@ -536,6 +530,50 @@ def conjugate_product_search(
 
 def in_commutator_subgroup(w: FreeWord) -> bool:
     return all(s == 0 for s in w.exponent_sums())
+
+
+def commutator_length(w: FreeWord) -> NormInterval:
+    """cl(w), the least number of commutators with product w in [F, F].
+
+    Culler's theorem (Topology 20, 1981): cl(w) is the least genus
+    (1 + m - v) / 2 over the pairings sigma of each letter x of w's cyclic
+    reduction c, 2m letters, with an occurrence of x^-1, v the cycles of
+    i -> sigma(i + 1 mod 2m).  The search stops at genus 1, the least of a
+    nontrivial w, and after ``CL_PAIRING_STEPS // 2m`` pairings gives
+    [1, least genus found]: each pairing glues a surface bounding c.
+    """
+    if not in_commutator_subgroup(w):
+        raise NormError(f"{w.encode()!r} is not in the commutator subgroup")
+    c = _cyclic_core(w.codes())
+    n = len(c)
+    if not n:
+        return _exact_interval(0)
+    places = collections.defaultdict(list)
+    for i, x in enumerate(c):
+        places[x].append(i)
+    letters = sorted(x for x in places if x > 0)
+    total = math.prod(math.factorial(len(places[x])) for x in letters)
+    limit = max(1, CL_PAIRING_STEPS // n)
+    sigma = [0] * n
+    best = n
+    for partners in itertools.islice(itertools.product(
+            *(itertools.permutations(places[-x]) for x in letters)), limit):
+        for x, js in zip(letters, partners):
+            for i, j in zip(places[x], js):
+                sigma[i], sigma[j] = j, i
+        step = sigma[1:] + sigma[:1]
+        seen = [False] * n
+        cycles = 0
+        for i in range(n):
+            if not seen[i]:
+                cycles += 1
+                while not seen[i]:
+                    seen[i] = True
+                    i = step[i]
+        best = min(best, (1 + n // 2 - cycles) // 2)
+        if best == 1:
+            break
+    return _exact_interval(best) if best == 1 or total <= limit else NormInterval(1, best, False)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +653,7 @@ BACKENDS: dict[str, Backend] = {
     "cancellation-dp": Backend("free", "standard", _cancellation_dp_norm, _cancellation_dp_ray),
     "l1": Backend("lattice", "standard", lambda ctx, g: NormInterval.exact_value(l1_norm(g))),
     "bounded-search": Backend(None, "normal-closure", _bounded_search_norm),
-    "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: conjugate_product_search(
-        ctx, g, SEARCH_K_MAX, CL_CONJ_LEN)),
+    "cl-bounds": Backend("free", "all-commutators", lambda ctx, g: commutator_length(g)),
 }
 
 
@@ -655,8 +692,9 @@ class GroupContext:
             raise ValueError(f"the {self.backend} backend needs the {row.family} family")
         if row.generators not in (None, "standard", self.generators.kind):
             raise ValueError(f"the {self.backend} backend needs the {row.generators} descriptor")
-        if self.generators.kind == "all-commutators" and self.family != "free":
-            raise ValueError(f"all-commutators is a set of free words, not of {self.family} elements")
+        if self.generators.kind == "all-commutators" and row.generators != "all-commutators":
+            raise ValueError("all-commutators is a set of free words that only cl-bounds "
+                             f"evaluates, not {self.backend} on the {self.family} family")
         key = FAMILIES[self.family].size_key if self.family in FAMILIES else None
         if key and getattr(self, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -727,15 +765,12 @@ class GroupContext:
 
     def ball(self, conj_len: int | None = None) -> BfsBall:
         """The context's ball over ``enumerate_effective_generators(self,
-        conj_len)``, one per ``conj_len``, built on first use and shared by
-        every search.  A commutator ball is capped at
-        ``COMMUTATOR_BALL_CAP``, every other at ``MEMORY_CAP``."""
+        conj_len)``, one per ``conj_len``, built on first use, shared by
+        every search and capped at ``MEMORY_CAP`` as read when it is built."""
         ball = self._balls.get(conj_len)
         if ball is None:
-            cap = (COMMUTATOR_BALL_CAP if self.generators.kind == "all-commutators"
-                   else MEMORY_CAP)
             ball = self._balls[conj_len] = BfsBall(
-                enumerate_effective_generators(self, conj_len), self.identity(), cap)
+                enumerate_effective_generators(self, conj_len), self.identity(), MEMORY_CAP)
         return ball
 
     def norm(self, g: GroupElement) -> NormInterval:

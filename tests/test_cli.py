@@ -540,6 +540,8 @@ class TestBackendRows:
          "needs the free family"),
         (["--family", "perm", "--generators", "all-commutators", "--backend", "bfs",
           "--element", "(1 2)"], "all-commutators is a set of free words"),
+        (["--family", "free", "--generators", "all-commutators", "--backend", "bfs",
+          "--element", "a b a^-1 b^-1"], "all-commutators is a set of free words"),
     ])
     def test_a_set_the_backend_cannot_evaluate_is_refused(self, argv, message, capsys):
         assert main(["norm", *argv, "--reproducible"]) == 1
@@ -625,6 +627,13 @@ def test_build_context_defaults():
      ("error", "E_VALUE", "unknown phi id 'bogus'")),
     ("task = extend\nfamily = free\nelement = a b\nc = 2/0\nat = a", 1,
      ("error", "E_VALUE", "c = '2/0' has a zero denominator")),
+    # commutator length is exact where the capped commutator ball gave [1, 3],
+    # and the c-trick's h outside [F, F] is refused at once, not after seconds
+    ("task = norm\nfamily = free\nbackend = cl-bounds\n"
+     "element = a b a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1", 0, ("norm", "2", "")),
+    ("task = ctrick\nfamily = free\nbackend = cl-bounds\nelement = a b a^-1 b^-1\n"
+     "element2 = a^-1 b a\nn = 2", 1,
+     ("error", "E_NORM", "'a^-1 b a' is not in the commutator subgroup")),
     ("task = norm\nfamily = perm\ngenerators = explicit:standard\nelement = (1 2)", 1,
      ("error", "E_NORM", "explicit:standard is only defined for lattice contexts")),
     ("task = norm\nfamily = lattice\ngenerators = explicit:\nelement = [1,0]", 1,
@@ -707,7 +716,7 @@ def test_fuzzed_jobs_give_rows_or_a_typed_error(monkeypatch):
     # small search budgets, so a search that would run for seconds ends in
     # its budget's typed outcome at once
     monkeypatch.setattr(norms, "MEMORY_CAP", 20_000)
-    monkeypatch.setattr(norms, "COMMUTATOR_BALL_CAP", 20_000)
+    monkeypatch.setattr(norms, "CL_PAIRING_STEPS", 20_000)
     assert set(FUZZ_VALUES) | {"element", "element2", "at"} == set(KEYS)
     codes = {code for _, code in ERROR_CODES}
     rng = random.Random(3)

@@ -35,6 +35,7 @@ from binorms.norms import (
     NormInterval,
     bfs_word_norm,
     cancellation_norm,
+    commutator_length,
     commutator_length_context,
     conjugate_product_search,
     free_cancellation_context,
@@ -81,9 +82,8 @@ GRID_KINDS = ("standard", "other-closure", "explicit", "all-commutators")
 # the (family, set) pairs each backend accepts; it refuses every other
 # pair with a ValueError
 GRID_ACCEPTS = {
-    # all commutators are free words: no other family takes them
-    "bfs": {(f, k) for f in GRID_SETS for k in GRID_KINDS} - {
-        (f, "all-commutators") for f in ("perm", "lattice", "heisenberg")},
+    # only cl-bounds evaluates all commutators
+    "bfs": {(f, k) for f in GRID_SETS for k in GRID_KINDS if k != "all-commutators"},
     # normal closures only: the lattice's standard set is an explicit list
     "bounded-search": {(f, k) for f in GRID_SETS for k in ("standard", "other-closure")}
     - {("lattice", "standard")},
@@ -849,39 +849,59 @@ class TestSearchParity:
 
     @pytest.mark.parametrize("conj_len_max", [1, 2])
     def test_commutator_length(self, conj_len_max):
+        # the frozen search over products of at most two commutators [u, v],
+        # |u|, |v| <= conj_len_max, bounds cl from above and, where it
+        # finds w, its interval is exact: Culler's value agrees
         short = all_reduced_words(2, conj_len_max)
         comms = [c for u in short for v in short if not (c := commutator(u, v)).is_identity()]
-        ctx = commutator_length_context(2)
-        for w in all_reduced_words(2, 6):
+        for w in all_reduced_words(2, 8):
             if in_commutator_subgroup(w) and not w.is_identity():
                 frozen = frozen_product_search(w, comms, w.identity(), 2, 2_000_000, 1)
-                assert conjugate_product_search(ctx, w, 2, conj_len_max) == frozen, w
+                new = commutator_length(w)
+                assert new.exact and frozen.lower <= new.lower <= frozen.upper, w
+                if frozen.exact:
+                    assert new == frozen, w
 
 
 class TestCommutatorLength:
-    def test_context_norm_is_the_bounded_search(self):
-        ctx = commutator_length_context(2)
-        for w in (FreeWord(2, ()), commutator(A, B), commutator(A, B) ** 2,
-                  commutator(A, B) * commutator(B, A * A)):
-            assert ctx.norm(w) == conjugate_product_search(commutator_length_context(2), w,
-                                                           norms.SEARCH_K_MAX, 2)
-        assert not ctx.norm(commutator(A, B) ** 2).exact
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_context_norm_is_the_least_genus(self, rank):
+        # Culler: cl([a, b]^n) = floor(n / 2) + 1
+        ctx = commutator_length_context(rank)
+        a, b = FreeWord.generator(rank, 1), FreeWord.generator(rank, 2)
+        for n in range(1, 6):
+            assert ctx.norm(commutator(a, b) ** n) == NormInterval.exact_value(n // 2 + 1)
+
+    def test_two_commutators_in_disjoint_letters(self):
+        a, b, c, d = (FreeWord.generator(4, i) for i in range(1, 5))
+        assert commutator_length_context(4).norm_exact(commutator(a, b) * commutator(c, d)) == 2
 
     def test_empty_word(self):
-        ctx = commutator_length_context(2)
-        assert conjugate_product_search(ctx, FreeWord(2, ()), 2, 2).require_exact() == 0
+        assert commutator_length(FreeWord(2, ())).require_exact() == 0
 
     def test_single_commutator(self):
-        ctx = commutator_length_context(2)
-        assert conjugate_product_search(ctx, commutator(A, B), 2, 2).require_exact() == 1
+        assert commutator_length(commutator(A, B)).require_exact() == 1
 
-    def test_square_gets_interval(self):
-        iv = conjugate_product_search(commutator_length_context(2), commutator(A, B) ** 2, 2, 2)
-        assert iv.lower == 1 and iv.upper == 2 and not iv.exact
+    def test_a_word_has_its_cyclic_reductions_length(self):
+        for w in (commutator(A, B), commutator(A, B) ** 2, commutator(A, B) * commutator(B, A * A)):
+            for x in (A, B * A.inverse(), A * A * B):
+                g = conjugate(w, x)
+                core = FreeWord._from_codes(2, norms._cyclic_core(g.codes()))
+                assert len(core) < len(g)
+                assert commutator_length(g) == commutator_length(core) == commutator_length(w)
+
+    def test_square_gets_interval(self, monkeypatch):
+        # [a, b]^2 has 2!^2 = 4 pairings of 8 letters; a budget of one
+        # pairing certifies only that pairing's genus
+        monkeypatch.setattr(norms, "CL_PAIRING_STEPS", 8)
+        iv = commutator_length(commutator(A, B) ** 2)
+        assert iv.lower == 1 and iv.upper >= 2 and not iv.exact
+        monkeypatch.setattr(norms, "CL_PAIRING_STEPS", 4 * 8)
+        assert commutator_length(commutator(A, B) ** 2) == NormInterval.exact_value(2)
 
     def test_rejects_nonzero_exponent_sum(self):
-        with pytest.raises(NormError):
-            conjugate_product_search(commutator_length_context(2), A, 2, 2)
+        with pytest.raises(NormError, match="'a' is not in the commutator subgroup"):
+            commutator_length(A)
         assert in_commutator_subgroup(commutator(A, B))
         assert not in_commutator_subgroup(A * B)
 
@@ -997,25 +1017,12 @@ def test_bounded_search_keeps_one_ball_per_conjugator_length(monkeypatch):
     assert shared.ball(1) is not shared.ball(2) and len(built) == 1 + len(words)
 
 
-def test_commutator_length_keeps_one_ball_for_all_its_norms(monkeypatch):
-    built = []
-    init = BfsBall.__init__
-
-    def counted(self, *args, **kw):
-        built.append(self)
-        init(self, *args, **kw)
-
-    monkeypatch.setattr(BfsBall, "__init__", counted)
-    monkeypatch.setattr(norms, "SEARCH_K_MAX", 2)
-    words = [w for w in all_reduced_words(2, 6) if in_commutator_subgroup(w) and not w.is_identity()]
-    shared = commutator_length_context(2)
-    answers = [shared.norm(w) for w in words]
-    assert len(built) == 1
-    assert shared.ball(2).memory_cap == norms.COMMUTATOR_BALL_CAP
-    assert answers == [commutator_length_context(2).norm(w) for w in words]
-    assert len(built) == 1 + len(words)
-    # the default conjugator length is capped at two letters
-    assert list(shared._balls) == [2]
+def test_commutator_length_builds_no_ball():
+    ctx = commutator_length_context(2)
+    for w in all_reduced_words(2, 6):
+        if in_commutator_subgroup(w):
+            ctx.norm(w)
+    assert ctx._balls == {}
 
 
 @pytest.mark.parametrize("family, gens, message", [
@@ -1025,6 +1032,13 @@ def test_commutator_length_keeps_one_ball_for_all_its_norms(monkeypatch):
      "normal closure is not enumerable for family 'heisenberg'"),
 ])
 def test_bfs_refuses_infinite_generating_sets(family, gens, message):
+    if gens.kind == "all-commutators":
+        # refused when the context is built, and no ball enumerates the set
+        with pytest.raises(ValueError, match="all-commutators is a set of free words"):
+            GroupContext(family, gens, "bfs")
+        with pytest.raises(NormError, match=message):
+            commutator_length_context(2).ball()
+        return
     ctx = GroupContext(family, gens, "bfs")
     with pytest.raises(NormError, match=message):
         ctx.norm(ctx.identity())
@@ -1124,8 +1138,8 @@ def test_sizes_below_one_are_value_errors(make, key):
 
 
 def test_search_budgets_keep_the_old_context_defaults():
-    assert (norms.MEMORY_CAP, norms.BFS_MAX_RADIUS, norms.SEARCH_K_MAX, norms.SEARCH_CONJ_LEN,
-            norms.CL_CONJ_LEN) == (500_000, 12, 6, 34, 2)
+    assert (norms.MEMORY_CAP, norms.BFS_MAX_RADIUS, norms.SEARCH_K_MAX,
+            norms.SEARCH_CONJ_LEN) == (500_000, 12, 6, 34)
 
 
 @pytest.mark.parametrize("make, elements, explicit", [
@@ -1141,9 +1155,7 @@ def test_search_budgets_keep_the_old_context_defaults():
                  id="bounded-search"),
     pytest.param(lambda: commutator_length_context(2),
                  [commutator(A, B), commutator(A, B) ** 2, commutator(A, B) * commutator(B, A * A)],
-                 lambda ctx, g: conjugate_product_search(ctx, g, norms.SEARCH_K_MAX,
-                                                         norms.CL_CONJ_LEN),
-                 id="cl-bounds"),
+                 lambda ctx, g: commutator_length(g), id="cl-bounds"),
 ])
 def test_search_backends_read_the_module_budgets(make, elements, explicit):
     ctx = make()
@@ -1217,12 +1229,11 @@ AXIOM_CASES = {
     "bounded-search-perm": AxiomCase(
         GroupContext("perm", standard_generators("perm"), "bounded-search", degree=4),
         S4, S4, S4_BFS, (("SEARCH_K_MAX", 4), ("SEARCH_CONJ_LEN", 1))),
-    # k = 2: a deeper search builds level 3 of the commutator ball, 824,809 elements
     "cl-bounds": AxiomCase(
         commutator_length_context(2),
         st.lists(st.sampled_from(_commutator_words()), min_size=1, max_size=2).map(
             lambda cs: functools.reduce(operator.mul, cs)),
-        FREE_WORDS, None, (("SEARCH_K_MAX", 2),)),
+        FREE_WORDS, None),
 }
 
 

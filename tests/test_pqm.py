@@ -559,8 +559,8 @@ S7_PERMUTATIONS = st.permutations(range(1, 8)).map(
 
 # kind: (context, strategy of (g, h)): g conjugated by a free word is not
 # cyclically reduced; lattice, Heisenberg and permutation contexts take
-# the one-product-a-step ray.  ``cl-bounds`` is missing: it certifies
-# ||[a, b]^2|| only as [1, 2], so no walk of window >= 2 gets through it.
+# the one-product-a-step ray.  ``cl-bounds`` is missing: the near-powers
+# g^m s leave [F, F], where commutator length is not defined.
 MCSHANE_CASES = {
     "free": (F2, st.tuples(_free_words(2, 2), _free_words(2, 3), _free_words(2, 5)).filter(
         lambda t: not t[1].is_identity()).map(lambda t: (conjugate(t[1], t[0]), t[2]))),

@@ -2,7 +2,10 @@
 tour reaches, and nothing else."""
 
 import ast
+import re
 from pathlib import Path
+
+from binorms import groups, norms
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -56,3 +59,20 @@ def test_every_library_definition_is_named_somewhere_else():
                         and defn.name not in used | UNCALLED_BY_DESIGN):
                     unused.append(f"{path.name}:{defn.lineno} {defn.name}")
     assert unused == []
+
+
+# A README quote of a constant of ``binorms.norms`` or ``binorms.groups``:
+# its name, with or without a module prefix, then "= value" or "(value)",
+# the value an integer with thousands commas or a power such as 2^18.
+CONSTANT_QUOTE = re.compile(r"`(?:binorms\.)?(?:(norms|groups)\.)?([A-Z][A-Z0-9_]+)`\s*"
+                            r"(?:=\s*|\()(\d[\d,]*)(?:\^(\d+))?")
+
+
+def test_readme_quotes_the_constants_values():
+    quotes = CONSTANT_QUOTE.findall(README)
+    assert len(quotes) >= 8
+    for prefix, name, base, exponent in quotes:
+        modules = [m for m in (norms, groups) if prefix in ("", m.__name__.rsplit(".", 1)[1])]
+        values = [getattr(m, name) for m in modules if hasattr(m, name)]
+        quoted = int(base.replace(",", "")) ** int(exponent or 1)
+        assert values and all(v == quoted for v in values), (name, base, exponent, values)
