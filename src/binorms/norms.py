@@ -179,8 +179,7 @@ class Family(NamedTuple):
 
 
 def _cyclic_core(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """The cyclic reduction of a reduced word's codes: its ends stripped
-    while the first letter is the inverse of the last."""
+    """A reduced word's codes, ends stripped while the first inverts the last."""
     i, j = 0, len(codes)
     while j - i > 1 and codes[i] == -codes[j - 1]:
         i, j = i + 1, j - 1
@@ -488,7 +487,7 @@ def _abelianisation_lower_bound(ctx: "GroupContext", g: GroupElement) -> int:
     sizes = [_abelianisation_size(s) for s in ctx.generators.elements]
     total = _abelianisation_size(g)
     if total == 0:
-        return 2 if ctx.generators.kind == "normal-closure" and all(sizes) else 1
+        return 2 if all(sizes) else 1
     return -(-total // max(sizes)) if any(sizes) else 1
 
 
@@ -545,35 +544,33 @@ def commutator_length(w: FreeWord) -> NormInterval:
     if not in_commutator_subgroup(w):
         raise NormError(f"{w.encode()!r} is not in the commutator subgroup")
     c = _cyclic_core(w.codes())
-    n = len(c)
+    c, n = min(c, tuple(-x for x in reversed(c))), len(c)  # w^-1 gets w's interval
     if not n:
         return _exact_interval(0)
-    places = collections.defaultdict(list)
-    for i, x in enumerate(c):
-        places[x].append(i)
+    places = {x: [i for i in range(n) if c[i] == x] for x in set(c)}
+    # an odometer: letter k takes its next pairing when the letters after it run out
     letters = sorted(x for x in places if x > 0)
-    total = math.prod(math.factorial(len(places[x])) for x in letters)
-    limit = max(1, CL_PAIRING_STEPS // n)
-    sigma = [0] * n
-    best = n
-    for partners in itertools.islice(itertools.product(
-            *(itertools.permutations(places[-x]) for x in letters)), limit):
-        for x, js in zip(letters, partners):
-            for i, j in zip(places[x], js):
+    perms = [None] * len(letters)
+    sigma, limit, tried, best, k = [0] * n, max(1, CL_PAIRING_STEPS // n), 0, n, 0
+    while k >= 0 and best > 1:
+        if k < len(letters):
+            perms[k] = perms[k] or itertools.permutations(places[-letters[k]])
+            if (js := next(perms[k], None)) is None:
+                perms[k], k = None, k - 1
+                continue
+            for i, j in zip(places[letters[k]], js):
                 sigma[i], sigma[j] = j, i
-        step = sigma[1:] + sigma[:1]
-        seen = [False] * n
-        cycles = 0
-        for i in range(n):
-            if not seen[i]:
-                cycles += 1
-                while not seen[i]:
-                    seen[i] = True
-                    i = step[i]
-        best = min(best, (1 + n // 2 - cycles) // 2)
-        if best == 1:
+            k += 1
+        elif tried == limit:
             break
-    return _exact_interval(best) if best == 1 or total <= limit else NormInterval(1, best, False)
+        else:
+            tried, step, seen, cycles = tried + 1, sigma[1:] + sigma[:1], [False] * n, 0
+            for i in range(n):
+                cycles += not seen[i]
+                while not seen[i]:
+                    seen[i], i = True, step[i]
+            best, k = min(best, (1 + n // 2 - cycles) // 2), k - 1
+    return _exact_interval(best) if k < 0 or best == 1 else NormInterval(1, best, False)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +690,7 @@ class GroupContext:
         if row.generators not in (None, "standard", self.generators.kind):
             raise ValueError(f"the {self.backend} backend needs the {row.generators} descriptor")
         if self.generators.kind == "all-commutators" and row.generators != "all-commutators":
-            raise ValueError("all-commutators is a set of free words that only cl-bounds "
-                             f"evaluates, not {self.backend} on the {self.family} family")
+            raise ValueError("all-commutators is a set of free words only cl-bounds evaluates")
         key = FAMILIES[self.family].size_key if self.family in FAMILIES else None
         if key and getattr(self, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")

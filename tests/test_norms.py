@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import time
 from contextlib import ExitStack
 from fractions import Fraction
 from typing import NamedTuple
@@ -892,12 +893,26 @@ class TestCommutatorLength:
 
     def test_square_gets_interval(self, monkeypatch):
         # [a, b]^2 has 2!^2 = 4 pairings of 8 letters; a budget of one
-        # pairing certifies only that pairing's genus
+        # pairing certifies only that pairing's genus, the same for w^-1
         monkeypatch.setattr(norms, "CL_PAIRING_STEPS", 8)
         iv = commutator_length(commutator(A, B) ** 2)
         assert iv.lower == 1 and iv.upper >= 2 and not iv.exact
+        assert commutator_length(commutator(A, B) ** -2) == iv
         monkeypatch.setattr(norms, "CL_PAIRING_STEPS", 4 * 8)
         assert commutator_length(commutator(A, B) ** 2) == NormInterval.exact_value(2)
+
+    @pytest.mark.parametrize("make, cl", [
+        pytest.param(lambda a, b: commutator(a, b) ** 12, 7, id="commutator-power"),
+        pytest.param(lambda a, b: commutator(a ** 12, b ** 12), 1, id="commutator-of-powers"),
+    ])
+    def test_long_word_reads_only_its_budget_of_pairings(self, make, cl):
+        # 12!^2 pairings of 48 letters, far past the default budget: the
+        # pairings are read lazily, so the search ends once it has tried
+        # CL_PAIRING_STEPS // 48 of them, with a certified upper bound
+        start = time.perf_counter()
+        iv = commutator_length(make(A, B))
+        assert time.perf_counter() - start < 5
+        assert iv.lower == 1 and iv.upper >= cl and (not iv.exact or iv.upper == cl)
 
     def test_rejects_nonzero_exponent_sum(self):
         with pytest.raises(NormError, match="'a' is not in the commutator subgroup"):
@@ -1142,22 +1157,25 @@ def test_search_budgets_keep_the_old_context_defaults():
             norms.SEARCH_CONJ_LEN) == (500_000, 12, 6, 34)
 
 
-@pytest.mark.parametrize("make, elements, explicit", [
+@pytest.mark.parametrize("make, elements, explicit, budgets", [
     pytest.param(lambda: GroupContext("lattice", standard_generators("lattice"), "bfs"),
                  [LatticeVector(v) for v in ((3, -2), (6, 6), (7, 6))],
-                 lambda ctx, g: bfs_word_norm(ctx, g, norms.BFS_MAX_RADIUS), id="bfs"),
+                 lambda ctx, g: bfs_word_norm(ctx, g, norms.BFS_MAX_RADIUS), (), id="bfs"),
     pytest.param(lambda: GroupContext("heisenberg", GeneratingSet.normal_closure((HA,)),
                                       "bounded-search"),
                  [HA, HA * HA, Heisenberg(-1, 0, 3), Heisenberg(0, 0, 1), Heisenberg(1, 0, 34),
                   Heisenberg(6, 0, 0)],
                  lambda ctx, g: conjugate_product_search(ctx, g, norms.SEARCH_K_MAX,
                                                          norms.SEARCH_CONJ_LEN),
-                 id="bounded-search"),
-    pytest.param(lambda: commutator_length_context(2),
-                 [commutator(A, B), commutator(A, B) ** 2, commutator(A, B) * commutator(B, A * A)],
-                 lambda ctx, g: commutator_length(g), id="cl-bounds"),
+                 (), id="bounded-search"),
+    # one pairing of [a, b]^2 certifies only its genus 2
+    pytest.param(lambda: commutator_length_context(2), [commutator(A, B) ** 2],
+                 lambda ctx, g: NormInterval(1, 2, False), (("CL_PAIRING_STEPS", 8),),
+                 id="cl-bounds"),
 ])
-def test_search_backends_read_the_module_budgets(make, elements, explicit):
+def test_search_backends_read_the_module_budgets(make, elements, explicit, budgets, monkeypatch):
+    for name, value in budgets:
+        monkeypatch.setattr(norms, name, value)
     ctx = make()
     for g in elements:
         assert ctx.norm(g) == explicit(make(), g), g.encode()
@@ -1233,7 +1251,7 @@ AXIOM_CASES = {
         commutator_length_context(2),
         st.lists(st.sampled_from(_commutator_words()), min_size=1, max_size=2).map(
             lambda cs: functools.reduce(operator.mul, cs)),
-        FREE_WORDS, None),
+        FREE_WORDS, None, (("CL_PAIRING_STEPS", 1 << 14),)),
 }
 
 
